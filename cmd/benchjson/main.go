@@ -67,9 +67,9 @@ type report struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused|CoreSolveN16|BipartiteField", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
-		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb", "comma-separated packages to benchmark")
+		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,.", "comma-separated packages to benchmark")
 		serving   = flag.String("serving", "", "existing cmd/loadgen JSON report to fold in as the serving section (default: run loadgen in-process)")
 		noServing = flag.Bool("noserving", false, "skip the serving section entirely")
 		servDur   = flag.Duration("serving-duration", 5*time.Second, "schedule length for the auto-run serving baseline")
@@ -225,8 +225,9 @@ func cpuSuffix(name string) string {
 // parameter suffix: SolveBatch vs SolveFused, FieldColumns vs FieldBatch
 // (per coupler), dense-kernel-on-sparse-instance vs the CSR and
 // quantized kernels, the float fused dSB solve vs its quantized and
-// sparse counterparts, and the scalar quantized kernels vs their
-// bit-packed popcount versions (kernel-level and end-to-end).
+// sparse counterparts, the scalar quantized kernels vs their
+// bit-packed popcount versions (kernel-level and end-to-end), and the
+// two-pass bipartite Field vs the tiled one.
 func deriveSpeedups(results []benchResult) []speedup {
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
@@ -247,6 +248,7 @@ func deriveSpeedups(results []benchResult) []speedup {
 		{"BenchmarkFieldBatchDense", "BenchmarkFieldSignsBitpackDense"},
 		{"BenchmarkSolveFusedDSB", "BenchmarkSolveFusedDSBBitpack"},
 		{"BenchmarkSolveFusedDSBQuant", "BenchmarkSolveFusedDSBBitpack"},
+		{"BenchmarkBipartiteField/twopass", "BenchmarkBipartiteField/tiled"},
 	}
 	var out []speedup
 	for _, r := range results {

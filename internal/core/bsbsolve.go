@@ -92,18 +92,19 @@ func SolveBSB(ctx context.Context, cop *COP, opts SolverOptions) Solution {
 }
 
 // theorem3Hook builds a fresh Theorem-3 intervention closure with its own
-// scratch buffers (so independent replicas can run concurrently): at each
-// sample point it reads the V1/V2 patterns off the position signs,
-// computes the conditionally-optimal column-type vector, and clamps the
-// T spins to it with zeroed momenta.
+// scratch buffers (so independent replicas can run concurrently, and a
+// call allocates nothing): at each sample point it reads the V1/V2
+// patterns off the position signs, computes the conditionally-optimal
+// column-type vector, and clamps the T spins to it with zeroed momenta.
 func theorem3Hook(f *Formulation) func(iter int, x, y []float64) {
 	cop := f.COP
 	v1 := bitvec.New(cop.R)
 	v2 := bitvec.New(cop.R)
 	t := bitvec.New(cop.C)
+	sums := make([]float64, 2*cop.C)
 	return func(_ int, x, y []float64) {
 		f.patternsFromPositions(x, v1, v2)
-		cop.OptimalT(v1, v2, t)
+		cop.optimalTInto(v1, v2, t, sums)
 		for j := 0; j < cop.C; j++ {
 			idx := f.TIndex(j)
 			if t.Get(j) {
@@ -124,8 +125,8 @@ func theorem3Hook(f *Formulation) func(iter int, x, y []float64) {
 // stop reasons.
 //
 // Without the Theorem-3 heuristic the batch auto-fuses (sb.FuseAuto):
-// every replica advances in lock-step through one shared stream of the
-// bipartite coupling block per step. Theorem3 installs a per-replica
+// every replica advances in lock-step, with one batched field product
+// per step. Theorem3 installs a per-replica
 // sample hook, which forces the per-replica goroutine engine (up to
 // workers concurrent); the two engines return bit-identical results.
 func SolveBSBBatch(ctx context.Context, cop *COP, opts SolverOptions, replicas, workers int) Solution {

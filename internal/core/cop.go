@@ -183,23 +183,49 @@ func (cop *COP) RowInstance() ilp.Instance {
 // patterns V1 and V2, each column independently selects the pattern with
 // the smaller cost (ties prefer pattern 1, i.e. T_j = 0). dst must have
 // length C; V1 and V2 length R. It returns the resulting objective value.
+// Each call allocates 2C floats of scratch; hot loops hold a buffer and
+// call optimalTInto.
 func (cop *COP) OptimalT(v1, v2, dst *bitvec.Vector) float64 {
+	return cop.optimalTInto(v1, v2, dst, make([]float64, 2*cop.C))
+}
+
+// optimalTInto is OptimalT with caller-owned scratch (length >= 2C). It
+// streams the cost rows in storage order into per-column sums instead of
+// scanning columns at a C-float stride. Each column sum still adds its
+// entries in ascending row order from +0, so the result is bit-identical
+// to a column-by-column scan.
+func (cop *COP) optimalTInto(v1, v2, dst *bitvec.Vector, scratch []float64) float64 {
 	if v1.Len() != cop.R || v2.Len() != cop.R || dst.Len() != cop.C {
 		panic("core: OptimalT dimension mismatch")
 	}
-	total := 0.0
-	for j := 0; j < cop.C; j++ {
-		cost1, cost2 := 0.0, 0.0
-		for i := 0; i < cop.R; i++ {
-			cost1 += cop.EntryCost(i, j, v1.Bit(i))
-			cost2 += cop.EntryCost(i, j, v2.Bit(i))
+	c := cop.C
+	cost1, cost2 := scratch[:c], scratch[c:2*c]
+	clear(cost1)
+	clear(cost2)
+	for i := 0; i < cop.R; i++ {
+		row1, row2 := cop.Cost0[i*c:i*c+c], cop.Cost0[i*c:i*c+c]
+		if v1.Get(i) {
+			row1 = cop.Cost1[i*c : i*c+c]
 		}
-		if cost2 < cost1 {
+		if v2.Get(i) {
+			row2 = cop.Cost1[i*c : i*c+c]
+		}
+		// Re-slicing to len(row1) lets the range variable prove every
+		// access in-bounds.
+		r2, s1, s2 := row2[:len(row1)], cost1[:len(row1)], cost2[:len(row1)]
+		for j, v := range row1 {
+			s1[j] += v
+			s2[j] += r2[j]
+		}
+	}
+	total := 0.0
+	for j := 0; j < c; j++ {
+		if cost2[j] < cost1[j] {
 			dst.Set(j, true)
-			total += cost2
+			total += cost2[j]
 		} else {
 			dst.Set(j, false)
-			total += cost1
+			total += cost1[j]
 		}
 	}
 	return total

@@ -21,8 +21,9 @@ func AltMin(cop *COP, init *decomp.ColSetting, maxIters int) (*decomp.ColSetting
 	s := init.Clone()
 	cost := cop.SettingCost(s)
 	prev := s.Clone()
+	sums := make([]float64, 2*cop.C) // optimalTInto scratch, reused across alternations
 	for iter := 0; iter < maxIters; iter++ {
-		cop.OptimalT(s.V1, s.V2, s.T)
+		cop.optimalTInto(s.V1, s.V2, s.T, sums)
 		cost = cop.OptimalV(s.T, s.V1, s.V2)
 		// Terminate on a true fixed point. Comparing states rather than
 		// costs matters: tie-breaking can move the setting across a cost

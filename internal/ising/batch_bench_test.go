@@ -249,3 +249,30 @@ func BenchmarkFieldColumnsBipartite(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBipartiteField compares the single-lane bipartite kernels on
+// the Fig. 4 core-COP shape (c = 512 column-type spins against 2r = 256
+// pattern spins): the two-pass reference against the tiled Field that
+// every bSB step on the paper's path runs.
+func BenchmarkBipartiteField(b *testing.B) {
+	const nu, nw = 512, 256
+	bp := randomBipartiteCoupler(nu, nw, 1)
+	x := randomBlock(nu+nw, 1, 2, 0)
+	out := make([]float64, nu+nw)
+	kernels := []struct {
+		name  string
+		field func(x, out []float64)
+	}{
+		{"twopass", bp.fieldTwoPass},
+		{"tiled", bp.Field},
+	}
+	for _, k := range kernels {
+		b.Run(fmt.Sprintf("%s/%dx%d", k.name, nu, nw), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * nu * nw))
+			for i := 0; i < b.N; i++ {
+				k.field(x, out)
+			}
+		})
+	}
+}

@@ -31,9 +31,10 @@ func randomBipartiteCoupler(nu, nw int, seed int64) *Bipartite {
 }
 
 // randomBlock fills an n×r column-major replica block. A fraction of the
-// entries is forced to exactly zero to exercise the scalar bipartite
-// kernel's xv==0 skip against the batched kernel's skip-free pass — the
-// bit-identity argument in the FieldBatch comment is load-bearing there.
+// entries is forced to exactly zero to exercise the bipartite kernels'
+// x_u == 0 handling (the two-pass kernel skips those rows, the tiled
+// Field does not) — the bit-identity argument in the Field comment is
+// load-bearing there.
 func randomBlock(n, r int, seed int64, zeroFrac float64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]float64, n*r)

@@ -10,10 +10,10 @@
 // J*x + h, plus brute-force ground-state search for small instances used
 // by the test suite.
 //
-// Both built-in couplers additionally implement BatchCoupler, the
-// replica-batched field product used by the fused SB engine: one
-// traversal of the coupling structure produces J*x for every replica
-// lane, bit-identically to per-lane Field calls.
+// The built-in couplers additionally implement BatchCoupler, the
+// replica-batched field product used by the fused SB engine,
+// bit-identically to per-lane Field calls. Dense and Sparse produce
+// every replica lane in one traversal of the coupling structure.
 package ising
 
 import (

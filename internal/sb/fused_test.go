@@ -244,18 +244,23 @@ func TestSolveFusedStepAllocs(t *testing.T) {
 	}
 }
 
-// countingCoupler wraps a BatchCoupler and counts norm scans and batched
-// field calls; it lets the tests observe which engine ran and how often
-// the O(n²) norm scan was taken.
+// countingCoupler wraps a BatchCoupler and counts norm scans, scalar and
+// batched field calls; it lets the tests observe which engine ran, how
+// often the O(n²) norm scan was taken, and how many field products a
+// solve computed.
 type countingCoupler struct {
 	inner      ising.BatchCoupler
 	normScans  atomic.Int64
+	fieldCalls atomic.Int64
 	batchCalls atomic.Int64
 }
 
-func (c *countingCoupler) N() int                 { return c.inner.N() }
-func (c *countingCoupler) Field(x, out []float64) { c.inner.Field(x, out) }
-func (c *countingCoupler) At(i, j int) float64    { return c.inner.At(i, j) }
+func (c *countingCoupler) N() int { return c.inner.N() }
+func (c *countingCoupler) Field(x, out []float64) {
+	c.fieldCalls.Add(1)
+	c.inner.Field(x, out)
+}
+func (c *countingCoupler) At(i, j int) float64 { return c.inner.At(i, j) }
 func (c *countingCoupler) FrobeniusNorm() float64 {
 	c.normScans.Add(1)
 	return c.inner.FrobeniusNorm()

@@ -402,8 +402,14 @@ func SolveWith(ctx context.Context, p *ising.Problem, params Params, ws *Workspa
 	// spin energy: the rounded energy plateaus for long stretches while
 	// the positions still move toward a better basin, so testing it would
 	// stop too early.
+	//
+	// The check leaves J·x in ws.field, and x does not move before the
+	// next step's field product, so bSB and aSB take it as that product
+	// (fieldFresh) instead of recomputing it. dSB needs J·sign(x) instead.
+	fieldFresh := false
 	stopCheck := func(iter int) bool {
 		ws.window.push(p.EnergyContinuousInto(x, ws.field))
+		fieldFresh = params.Variant != Discrete
 		return iter >= minIters && ws.window.full() && ws.window.variance() < params.Stop.Epsilon
 	}
 
@@ -429,6 +435,8 @@ func SolveWith(ctx context.Context, p *ising.Problem, params Params, ws *Workspa
 			src = signs
 		}
 		switch {
+		case fieldFresh:
+			fieldFresh = false // field already holds J·x from the stop check
 		case planes != nil:
 			planes.FieldSigns(signs, field)
 		case quant != nil:
