@@ -67,9 +67,9 @@ type report struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused|CoreSolveN16|BipartiteField", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused|CoreSolveN16|BipartiteField|NewJointCOP", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
-		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,.", "comma-separated packages to benchmark")
+		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,./internal/core,.", "comma-separated packages to benchmark")
 		serving   = flag.String("serving", "", "existing cmd/loadgen JSON report to fold in as the serving section (default: run loadgen in-process)")
 		noServing = flag.Bool("noserving", false, "skip the serving section entirely")
 		servDur   = flag.Duration("serving-duration", 5*time.Second, "schedule length for the auto-run serving baseline")
@@ -227,7 +227,8 @@ func cpuSuffix(name string) string {
 // quantized kernels, the float fused dSB solve vs its quantized and
 // sparse counterparts, the scalar quantized kernels vs their
 // bit-packed popcount versions (kernel-level and end-to-end), and the
-// two-pass bipartite Field vs the tiled one.
+// two-pass bipartite Field and its Go tiles vs the tiled Field (the AVX2
+// tile on CPUs that have it).
 func deriveSpeedups(results []benchResult) []speedup {
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
@@ -249,6 +250,7 @@ func deriveSpeedups(results []benchResult) []speedup {
 		{"BenchmarkSolveFusedDSB", "BenchmarkSolveFusedDSBBitpack"},
 		{"BenchmarkSolveFusedDSBQuant", "BenchmarkSolveFusedDSBBitpack"},
 		{"BenchmarkBipartiteField/twopass", "BenchmarkBipartiteField/tiled"},
+		{"BenchmarkBipartiteField/go", "BenchmarkBipartiteField/tiled"},
 	}
 	var out []speedup
 	for _, r := range results {

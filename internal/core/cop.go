@@ -102,6 +102,7 @@ func NewJointCOP(part *partition.Partition, k int, exact, approx *truthtable.Tab
 	}
 	mOut := exact.NumOutputs()
 	weight := float64(uint64(1) << uint(k)) // 2^{k-1} with the paper's 1-based k
+	exactWords, approxWords := componentWords(exact), componentWords(approx)
 	r, c := part.Rows(), part.Cols()
 	cop := &COP{Part: part, R: r, C: c,
 		Cost0: make([]float64, r*c), Cost1: make([]float64, r*c)}
@@ -113,15 +114,31 @@ func NewJointCOP(part *partition.Partition, k int, exact, approx *truthtable.Tab
 			}
 			x := part.Global(i, j)
 			p := dist.P(x)
+			// Gather the cell's output words: bit l of e is exact_l(x), of
+			// a approx_l(x) for l != k.
+			word, shift := x>>6, x&63
+			var e, a int64
+			for l, ew := range exactWords {
+				e |= int64(ew[word]>>shift&1) << l
+				a |= int64(approxWords[l][word]>>shift&1) << l
+			}
+			a &^= int64(1) << uint(k)
 			// D_kij = sum_{l != k} 2^l approx_l(x) - sum_l 2^l exact_l(x).
-			d := 0.0
-			for l := 0; l < mOut; l++ {
-				w := float64(uint64(1) << uint(l))
-				if l != k && approx.Bit(l, x) == 1 {
-					d += w
-				}
-				if exact.Bit(l, x) == 1 {
-					d -= w
+			// Up to 53 outputs every partial sum of the float loop below
+			// is an integer below 2^53, so the loop is exact and equals
+			// a - e. Wider tables need the loop itself: its sums may round.
+			var d float64
+			if mOut <= 53 {
+				d = float64(a - e)
+			} else {
+				for l := 0; l < mOut; l++ {
+					w := float64(uint64(1) << uint(l))
+					if a>>l&1 == 1 {
+						d += w
+					}
+					if e>>l&1 == 1 {
+						d -= w
+					}
 				}
 			}
 			cop.Cost0[base+j] = p * math.Abs(d)
@@ -129,6 +146,16 @@ func NewJointCOP(part *partition.Partition, k int, exact, approx *truthtable.Tab
 		}
 	}
 	return cop
+}
+
+// componentWords returns the packed truth-table words of every output of
+// t, indexed by output then by x/64.
+func componentWords(t *truthtable.Table) [][]uint64 {
+	words := make([][]uint64, t.NumOutputs())
+	for l := range words {
+		words[l] = t.Component(l).Words()
+	}
+	return words
 }
 
 // EntryCost returns cost(i, j, v).

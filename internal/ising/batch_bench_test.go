@@ -252,8 +252,9 @@ func BenchmarkFieldColumnsBipartite(b *testing.B) {
 
 // BenchmarkBipartiteField compares the single-lane bipartite kernels on
 // the Fig. 4 core-COP shape (c = 512 column-type spins against 2r = 256
-// pattern spins): the two-pass reference against the tiled Field that
-// every bSB step on the paper's path runs.
+// pattern spins): the two-pass reference, the Go tiles, and the tiled
+// Field that every bSB step on the paper's path runs (the AVX2 tile on
+// CPUs that have it, else the Go tiles).
 func BenchmarkBipartiteField(b *testing.B) {
 	const nu, nw = 512, 256
 	bp := randomBipartiteCoupler(nu, nw, 1)
@@ -264,6 +265,7 @@ func BenchmarkBipartiteField(b *testing.B) {
 		field func(x, out []float64)
 	}{
 		{"twopass", bp.fieldTwoPass},
+		{"go", bp.fieldGo},
 		{"tiled", bp.Field},
 	}
 	for _, k := range kernels {

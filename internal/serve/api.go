@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 
 	"isinglut"
 )
@@ -344,23 +346,42 @@ func decomposeKey(f *isinglut.Function, opts isinglut.Options) string {
 func (r *SolveRequest) solveKey() string {
 	h := sha256.New()
 	writeU64(h, uint64(r.N))
-	acc := make(map[[2]int]float64, len(r.Couplings))
+	// Canonical order: the pairs 0 <= i < j < N sorted by (i, j). The
+	// sort is stable, so each pair's couplings sum in input order from
+	// +0; pairs that sum to zero, diagonal pairs and out-of-range indices
+	// stay out of the hash.
+	type term struct {
+		i, j int
+		v    float64
+	}
+	terms := make([]term, 0, len(r.Couplings))
 	for _, c := range r.Couplings {
 		i, j := c.I, c.J
 		if i > j {
 			i, j = j, i
 		}
-		acc[[2]int{i, j}] += c.V
+		if i >= 0 && i < j && j < r.N {
+			terms = append(terms, term{i, j, c.V})
+		}
 	}
-	// Deterministic iteration: scan the upper triangle in index order and
-	// emit only present entries.
-	for i := 0; i < r.N; i++ {
-		for j := i + 1; j < r.N; j++ {
-			if v, ok := acc[[2]int{i, j}]; ok && v != 0 {
-				writeU64(h, uint64(i))
-				writeU64(h, uint64(j))
-				writeU64(h, math.Float64bits(v))
-			}
+	slices.SortStableFunc(terms, func(a, b term) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+	for lo := 0; lo < len(terms); {
+		i, j := terms[lo].i, terms[lo].j
+		v := 0.0
+		hi := lo
+		for ; hi < len(terms) && terms[hi].i == i && terms[hi].j == j; hi++ {
+			v += terms[hi].v
+		}
+		lo = hi
+		if v != 0 {
+			writeU64(h, uint64(i))
+			writeU64(h, uint64(j))
+			writeU64(h, math.Float64bits(v))
 		}
 	}
 	writeU64(h, uint64(len(r.Biases)))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -161,6 +162,80 @@ func TestSolveKeyCanonicalOrdering(t *testing.T) {
 	if otherSeed.solveKey() == want {
 		t.Error("different seed shares the cache key")
 	}
+
+	// Digests pinned from the original per-pair map and upper-triangle
+	// scan: a change to how the couplings are canonicalized must not move
+	// any request to another cache slot.
+	glass := SolveRequest{N: 1024, Steps: 500, Seed: 3, Shard: 256,
+		Couplings: randomCouplings(1024, 4096, rand.New(rand.NewSource(11)))}
+	shuffled := glass
+	shuffled.Couplings = append([]Coupling(nil), glass.Couplings...)
+	rng := rand.New(rand.NewSource(12))
+	rng.Shuffle(len(shuffled.Couplings), func(a, b int) {
+		shuffled.Couplings[a], shuffled.Couplings[b] = shuffled.Couplings[b], shuffled.Couplings[a]
+	})
+	for i, c := range shuffled.Couplings {
+		if rng.Intn(2) == 0 {
+			shuffled.Couplings[i].I, shuffled.Couplings[i].J = c.J, c.I
+		}
+	}
+	for _, c := range []struct {
+		name string
+		req  SolveRequest
+		want string
+	}{
+		{"base", base, "s:d721097cbfd3b8b2ce22b82110a930e1a132e432940ccdab385196fdc89c96c2"},
+		// (0,1) cancels to zero and drops out of the key.
+		{"cancelling duplicates", SolveRequest{N: 4, Seed: 1, Couplings: []Coupling{
+			{I: 0, J: 1, V: 0.5}, {I: 1, J: 2, V: -1}, {I: 1, J: 0, V: -0.5}, {I: 2, J: 3, V: 0.25},
+		}}, "s:df7b134a562a8dd49718a9d2a803ca3b33219be7bca298399b658ea4aa0ce0fd"},
+		// A diagonal pair and pairs outside [0, N) are never hashed, so
+		// this is the same problem as the one above.
+		{"diagonal and out-of-range pairs", SolveRequest{N: 4, Seed: 1, Couplings: []Coupling{
+			{I: 2, J: 2, V: 1.5}, {I: 0, J: 7, V: 1}, {I: -1, J: 2, V: 1}, {I: 1, J: 2, V: -1}, {I: 3, J: 2, V: 0.25},
+		}}, "s:df7b134a562a8dd49718a9d2a803ca3b33219be7bca298399b658ea4aa0ce0fd"},
+		// Duplicates are summed in input order: 1e16 + 1 rounds to 1e16,
+		// so pair (0,1) sums to 0 and drops out of the key.
+		{"input-order sum", orderedSumRequest(), "s:c968a466c67e29de72a80bc37ffede9e17cec6d961884f217359fba5ba93e03e"},
+		{"biases", SolveRequest{N: 3, Variant: "dsb", Seed: 2, Biases: []float64{0.5, -1, 0},
+			Couplings: []Coupling{{I: 0, J: 2, V: -0.75}, {I: 2, J: 0, V: 0.125}}}, "s:7d937cc923ad63b7adf170a30bf76c19a560b4f2f542438bde79d172470c993e"},
+		{"1024-spin glass", glass, "s:f8ecea04fca96222751f04bfa5dbb1477709022d367eab0afd990f85e3e8903a"},
+		{"shuffled 1024-spin glass", shuffled, "s:f8ecea04fca96222751f04bfa5dbb1477709022d367eab0afd990f85e3e8903a"},
+	} {
+		if got := c.req.solveKey(); got != c.want {
+			t.Errorf("%s: key %s, pinned %s", c.name, got, c.want)
+		}
+	}
+}
+
+// orderedSumRequest is a shuffled 64-spin chain with three couplings on
+// pair (0,1), spread through the body, whose float sum depends on their
+// order. The shuffle is one that Go's unstable sort would reorder.
+func orderedSumRequest() SolveRequest {
+	req := SolveRequest{N: 64, Seed: 1}
+	for i := 1; i < 64; i++ {
+		req.Couplings = append(req.Couplings, Coupling{I: i - 1, J: i, V: float64(i%3 - 1)})
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(req.Couplings), func(a, b int) {
+		req.Couplings[a], req.Couplings[b] = req.Couplings[b], req.Couplings[a]
+	})
+	req.Couplings[0] = Coupling{I: 0, J: 1, V: 1e16}
+	req.Couplings[31] = Coupling{I: 1, J: 0, V: 1}
+	req.Couplings[62] = Coupling{I: 0, J: 1, V: -1e16}
+	return req
+}
+
+// randomCouplings draws count ±1 couplings of an n-spin glass, each
+// between a spin and one of the 64 spins after it (mod n). Pairs repeat,
+// some cancelling to zero, and endpoints come in either order; the sums
+// are exact, so the key cannot depend on the order of the couplings.
+func randomCouplings(n, count int, rng *rand.Rand) []Coupling {
+	cs := make([]Coupling, count)
+	for c := range cs {
+		i := rng.Intn(n)
+		cs[c] = Coupling{I: i, J: (i + 1 + rng.Intn(64)) % n, V: float64(2*rng.Intn(2) - 1)}
+	}
+	return cs
 }
 
 // TestLRUCacheStressDegradedNeverCached is the -race stress mix: many
