@@ -231,17 +231,17 @@ func BenchmarkAblationRowVsColumn(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCoupling measures the bipartite mat-vec speedup over a
-// dense coupling matrix on a Fig. 4-sized core COP (768 spins).
+// BenchmarkAblationCoupling measures the twin-block mat-vec speedup over
+// a dense coupling matrix on a Fig. 4-sized core COP (768 spins).
 func BenchmarkAblationCoupling(b *testing.B) {
 	cop, err := experiments.SampleCOP("multiplier", 16, 15, 7, core.Joint, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
 	f := core.Formulate(cop)
-	bip, ok := f.Problem.Coup.(*ising.Bipartite)
+	bip, ok := f.Problem.Coup.(*ising.Twin)
 	if !ok {
-		b.Fatal("formulation no longer bipartite")
+		b.Fatal("formulation no longer a twin block")
 	}
 	dense := bip.ToDense()
 	n := f.Problem.N()

@@ -67,7 +67,7 @@ type report struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused|CoreSolveN16|BipartiteField|NewJointCOP", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused|CoreSolveN16|BipartiteField|NewJointCOP|Theorem3", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
 		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,./internal/core,.", "comma-separated packages to benchmark")
 		serving   = flag.String("serving", "", "existing cmd/loadgen JSON report to fold in as the serving section (default: run loadgen in-process)")
@@ -227,8 +227,8 @@ func cpuSuffix(name string) string {
 // quantized kernels, the float fused dSB solve vs its quantized and
 // sparse counterparts, the scalar quantized kernels vs their
 // bit-packed popcount versions (kernel-level and end-to-end), and the
-// two-pass bipartite Field and its Go tiles vs the tiled Field (the AVX2
-// tile on CPUs that have it).
+// two-pass twin Field and its Go kernel vs the AVX2 kernel (FieldU too),
+// and the Theorem-3 cost sums vs the sign of the U-side field.
 func deriveSpeedups(results []benchResult) []speedup {
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
@@ -249,8 +249,10 @@ func deriveSpeedups(results []benchResult) []speedup {
 		{"BenchmarkFieldBatchDense", "BenchmarkFieldSignsBitpackDense"},
 		{"BenchmarkSolveFusedDSB", "BenchmarkSolveFusedDSBBitpack"},
 		{"BenchmarkSolveFusedDSBQuant", "BenchmarkSolveFusedDSBBitpack"},
-		{"BenchmarkBipartiteField/twopass", "BenchmarkBipartiteField/tiled"},
-		{"BenchmarkBipartiteField/go", "BenchmarkBipartiteField/tiled"},
+		{"BenchmarkBipartiteField/twopass", "BenchmarkBipartiteField/avx2"},
+		{"BenchmarkBipartiteField/go", "BenchmarkBipartiteField/avx2"},
+		{"BenchmarkBipartiteField/go-u", "BenchmarkBipartiteField/avx2-u"},
+		{"BenchmarkTheorem3N16/costsums", "BenchmarkTheorem3N16/fieldsign"},
 	}
 	var out []speedup
 	for _, r := range results {

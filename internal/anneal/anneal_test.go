@@ -58,13 +58,11 @@ func TestEnergyMatchesSpins(t *testing.T) {
 func TestIncrementalEnergyConsistency(t *testing.T) {
 	// The incremental field updates must keep the tracked energy exact;
 	// checked implicitly by TestEnergyMatchesSpins but here on a bipartite
-	// coupler to exercise the At-based neighbor updates.
-	b := ising.NewBipartite(3, 4)
+	// (twin) coupler to exercise the At-based neighbor updates.
+	b := ising.NewTwin(3, 2)
 	rng := rand.New(rand.NewSource(5))
-	for u := 0; u < 3; u++ {
-		for w := 0; w < 4; w++ {
-			b.SetCross(u, w, rng.NormFloat64())
-		}
+	for i := 0; i < 2; i++ {
+		b.SetColumn(i, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
 	}
 	p, _ := ising.NewProblem(b, nil, 0)
 	res := Solve(context.Background(), p, DefaultParams())

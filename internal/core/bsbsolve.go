@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
-	"isinglut/internal/bitvec"
 	"isinglut/internal/decomp"
 	"isinglut/internal/fault"
+	"isinglut/internal/ising"
 	"isinglut/internal/metrics"
 	"isinglut/internal/sb"
 )
@@ -96,23 +97,40 @@ func SolveBSB(ctx context.Context, cop *COP, opts SolverOptions) Solution {
 // call allocates nothing): at each sample point it reads the V1/V2
 // patterns off the position signs, computes the conditionally-optimal
 // column-type vector, and clamps the T spins to it with zeroed momenta.
+//
+// The optimum comes from the sign of the T-side field at
+// sigma_V = sign(x_V), one FieldU product: T_j = 1 exactly when
+// F_j > 0, ties to 0 (theorem3Bound derives the rule). A column whose
+// |F_j| does not clear its bound B_j — or whose F_j or B_j is not
+// finite — recomputes its two cost sums in optimalTInto's order, so the
+// result equals optimalTInto's bit for bit for every cost distribution.
 func theorem3Hook(f *Formulation) func(iter int, x, y []float64) {
 	cop := f.COP
-	v1 := bitvec.New(cop.R)
-	v2 := bitvec.New(cop.R)
-	t := bitvec.New(cop.C)
-	sums := make([]float64, 2*cop.C)
+	c, r := cop.C, cop.R
+	coup := f.Problem.Coup.(*ising.Twin)
+	signs := make([]float64, f.NumSpins()) // the T entries stay 0: FieldU reads only V
+	field := make([]float64, c)
 	return func(_ int, x, y []float64) {
-		f.patternsFromPositions(x, v1, v2)
-		cop.optimalTInto(v1, v2, t, sums)
-		for j := 0; j < cop.C; j++ {
-			idx := f.TIndex(j)
-			if t.Get(j) {
-				x[idx] = 1
+		for k := c; k < c+2*r; k++ {
+			if x[k] >= 0 {
+				signs[k] = 1
 			} else {
-				x[idx] = -1
+				signs[k] = -1
 			}
-			y[idx] = 0
+		}
+		coup.FieldU(signs, field)
+		for j, fj := range field {
+			t := fj > 0
+			if a, b := math.Abs(fj), f.tBound[j]; !(a > b || a == 0 && b == 0) {
+				cost1, cost2 := cop.columnCosts(j, signs[c:c+r], signs[c+r:c+2*r])
+				t = cost2 < cost1
+			}
+			if t {
+				x[j] = 1
+			} else {
+				x[j] = -1
+			}
+			y[j] = 0
 		}
 	}
 }

@@ -26,6 +26,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"isinglut/internal/bitvec"
 	"isinglut/internal/boolmatrix"
@@ -106,46 +107,92 @@ func NewJointCOP(part *partition.Partition, k int, exact, approx *truthtable.Tab
 	r, c := part.Rows(), part.Cols()
 	cop := &COP{Part: part, R: r, C: c,
 		Cost0: make([]float64, r*c), Cost1: make([]float64, r*c)}
+	// D_kij = sum_{l != k} 2^l approx_l(x) - sum_l 2^l exact_l(x). Up to 53
+	// outputs every partial sum of the float loop in jointDiffFloat is an
+	// integer below 2^53, so that loop is exact and equals the integer
+	// difference, which jointDiffTable builds for every input at once.
+	// The table lives in Cost1 (there are at least 2^n cells); a first
+	// pass moves each reachable cell's D into Cost0. Wider tables run the
+	// loop itself: its sums may round.
+	table := mOut <= 53
+	if table {
+		d := cop.Cost1[:1<<n]
+		jointDiffTable(d, k, exactWords, approxWords)
+		for i := 0; i < r; i++ {
+			row := cop.Cost0[i*c : i*c+c]
+			for j := range row {
+				if part.Valid(i, j) {
+					row[j] = d[part.Global(i, j)]
+				}
+			}
+		}
+	}
 	for i := 0; i < r; i++ {
 		base := i * c
 		for j := 0; j < c; j++ {
 			if !part.Valid(i, j) {
-				continue // unreachable cell: zero cost either way
+				cop.Cost1[base+j] = 0 // unreachable cell: zero cost either way
+				continue
 			}
 			x := part.Global(i, j)
 			p := dist.P(x)
-			// Gather the cell's output words: bit l of e is exact_l(x), of
-			// a approx_l(x) for l != k.
-			word, shift := x>>6, x&63
-			var e, a int64
-			for l, ew := range exactWords {
-				e |= int64(ew[word]>>shift&1) << l
-				a |= int64(approxWords[l][word]>>shift&1) << l
-			}
-			a &^= int64(1) << uint(k)
-			// D_kij = sum_{l != k} 2^l approx_l(x) - sum_l 2^l exact_l(x).
-			// Up to 53 outputs every partial sum of the float loop below
-			// is an integer below 2^53, so the loop is exact and equals
-			// a - e. Wider tables need the loop itself: its sums may round.
 			var d float64
-			if mOut <= 53 {
-				d = float64(a - e)
+			if table {
+				d = cop.Cost0[base+j]
 			} else {
-				for l := 0; l < mOut; l++ {
-					w := float64(uint64(1) << uint(l))
-					if a>>l&1 == 1 {
-						d += w
-					}
-					if e>>l&1 == 1 {
-						d -= w
-					}
-				}
+				d = jointDiffFloat(x, k, exactWords, approxWords)
 			}
 			cop.Cost0[base+j] = p * math.Abs(d)
 			cop.Cost1[base+j] = p * math.Abs(weight+d)
 		}
 	}
 	return cop
+}
+
+// jointDiffTable adds, for every input x, D(x) = sum_{l != k} 2^l
+// approx_l(x) - sum_l 2^l exact_l(x) onto d[x] (len(d) = 2^n, zeroed by
+// the caller), for at most 53 outputs, where every partial sum is an
+// integer below 2^53 and so exact. It works through the packed words 64
+// inputs at a time: an output l != k adds 2^l where approx_l is 1 and
+// exact_l is 0, and subtracts it where the reverse holds; output k
+// subtracts 2^k where exact_k is 1. Outputs on which the two tables
+// agree cost one word comparison each. Bits past 2^n are zero in the
+// packed words, so every index stays below len(d).
+func jointDiffTable(d []float64, k int, exactWords, approxWords [][]uint64) {
+	for l, ew := range exactWords {
+		unit := float64(uint64(1) << uint(l))
+		aw := approxWords[l][:len(ew)]
+		for w, e := range ew {
+			up, down := aw[w]&^e, e&^aw[w]
+			if l == k {
+				up, down = 0, e
+			}
+			block := d[64*w : min(64*w+64, len(d))]
+			for ; up != 0; up &= up - 1 {
+				block[bits.TrailingZeros64(up)] += unit
+			}
+			for ; down != 0; down &= down - 1 {
+				block[bits.TrailingZeros64(down)] -= unit
+			}
+		}
+	}
+}
+
+// jointDiffFloat is D(x) summed in float64 in ascending output order, for
+// tables too wide for jointDiffTable.
+func jointDiffFloat(x uint64, k int, exactWords, approxWords [][]uint64) float64 {
+	word, shift := x>>6, x&63
+	var d float64
+	for l, ew := range exactWords {
+		w := float64(uint64(1) << uint(l))
+		if l != k && approxWords[l][word]>>shift&1 == 1 {
+			d += w
+		}
+		if ew[word]>>shift&1 == 1 {
+			d -= w
+		}
+	}
+	return d
 }
 
 // componentWords returns the packed truth-table words of every output of
@@ -256,6 +303,27 @@ func (cop *COP) optimalTInto(v1, v2, dst *bitvec.Vector, scratch []float64) floa
 		}
 	}
 	return total
+}
+
+// columnCosts returns column j's two Theorem-3 pattern costs, each summed
+// over ascending rows from +0 exactly as optimalTInto sums them: row i
+// adds Cost1 where its sign is positive and Cost0 otherwise.
+func (cop *COP) columnCosts(j int, signs1, signs2 []float64) (cost1, cost2 float64) {
+	c := cop.C
+	for i, s1 := range signs1[:cop.R] {
+		idx := i*c + j
+		if s1 > 0 {
+			cost1 += cop.Cost1[idx]
+		} else {
+			cost1 += cop.Cost0[idx]
+		}
+		if signs2[i] > 0 {
+			cost2 += cop.Cost1[idx]
+		} else {
+			cost2 += cop.Cost0[idx]
+		}
+	}
+	return cost1, cost2
 }
 
 // OptimalV fills v1 and v2 with the conditional optimum given T: row i of

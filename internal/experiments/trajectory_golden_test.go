@@ -8,9 +8,13 @@ import (
 	"math"
 	"testing"
 
+	"math/rand"
+
 	"isinglut/internal/benchfn"
 	"isinglut/internal/core"
 	"isinglut/internal/dalta"
+	"isinglut/internal/partition"
+	"isinglut/internal/prob"
 	"isinglut/internal/sb"
 )
 
@@ -23,10 +27,25 @@ func spinHash(spins []int8) uint64 {
 	return h.Sum64()
 }
 
+// weightedCOP is SampleCOP's joint-mode instance under a random
+// non-uniform input distribution (prob.RandomWeighted). Its costs are
+// not multiples of one power of two, so the column sums behind the
+// Theorem-3 heuristic round, unlike the uniform instances'.
+func weightedCOP(name string, n, k, freeSize int, seed int64) (*core.COP, error) {
+	exact, err := benchfn.Build(name, n)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	part := partition.Random(n, freeSize, rng)
+	return core.NewJointCOP(part, k, exact, exact.Clone(), prob.RandomWeighted(n, rng)), nil
+}
+
 // TestSolveTrajectoryGolden pins real solver trajectories bit for bit:
 // the exact Cost and Energy bits, iteration and sample counts, stop
 // reason and a spin hash of core-COP solves across SB variants with the
-// Theorem-3 heuristic on and off, plus the MED/ER bits of two
+// Theorem-3 heuristic on and off (uniform and weighted input
+// distributions), plus the MED/ER bits of two
 // quick-scale DALTA runs. Unlike the render goldens, which format
 // synthetic rows, this file changes whenever any arithmetic on the
 // paper's path changes order — a kernel optimization must leave it
@@ -38,6 +57,7 @@ func TestSolveTrajectoryGolden(t *testing.T) {
 		name     string
 		cop      func() (*core.COP, error)
 		variants []sb.Variant
+		thm3     []bool // nil: both
 		seeds    []int64
 	}
 	cases := []copCase{
@@ -59,6 +79,20 @@ func TestSolveTrajectoryGolden(t *testing.T) {
 			variants: []sb.Variant{sb.Ballistic, sb.Discrete, sb.Adiabatic},
 			seeds:    []int64{1, 2, 3},
 		},
+		{
+			name:     "weighted/multiplier-n16-k8",
+			cop:      func() (*core.COP, error) { return weightedCOP("multiplier", 16, 8, 7, 3) },
+			variants: []sb.Variant{sb.Ballistic},
+			thm3:     []bool{true},
+			seeds:    []int64{1, 2},
+		},
+		{
+			name:     "weighted/cos-n9-k3",
+			cop:      func() (*core.COP, error) { return weightedCOP("cos", 9, 3, 4, 5) },
+			variants: []sb.Variant{sb.Ballistic},
+			thm3:     []bool{true},
+			seeds:    []int64{1, 2},
+		},
 	}
 	var buf bytes.Buffer
 	for _, c := range cases {
@@ -66,8 +100,12 @@ func TestSolveTrajectoryGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		thm3s := c.thm3
+		if thm3s == nil {
+			thm3s = []bool{true, false}
+		}
 		for _, v := range c.variants {
-			for _, thm3 := range []bool{true, false} {
+			for _, thm3 := range thm3s {
 				for _, seed := range c.seeds {
 					opts := core.DefaultSolverOptions()
 					opts.SB = sb.DefaultParamsFor(v)

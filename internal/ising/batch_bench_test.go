@@ -56,16 +56,15 @@ func BenchmarkFieldColumnsDense(b *testing.B) {
 	})
 }
 
-// BenchmarkFieldBatchBipartite measures the fused bipartite kernel at
-// core-COP-like shapes (nu ≈ n/4 column-type spins vs nw pattern spins).
+// BenchmarkFieldBatchBipartite measures the batched twin kernel at
+// core-COP-like shapes (c = n/2 column-type spins vs n/4 pattern pairs).
 func BenchmarkFieldBatchBipartite(b *testing.B) {
 	benchGrid(b, func(b *testing.B, n, r int) {
-		nu := n / 4
-		bp := randomBipartiteCoupler(nu, n-nu, 1)
+		bp := randomTwinCoupler(n/2, n/4, 1)
 		x := randomBlock(n, r, 2, 0)
 		out := make([]float64, n*r)
 		b.ReportAllocs()
-		b.SetBytes(int64(8 * nu * (n - nu)))
+		b.SetBytes(int64(8 * n / 2 * n / 4))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bp.FieldBatch(x, out, r)
@@ -234,15 +233,14 @@ func BenchmarkFieldSignsBitpackClustered(b *testing.B) {
 	})
 }
 
-// BenchmarkFieldColumnsBipartite is the unfused bipartite baseline.
+// BenchmarkFieldColumnsBipartite is the unfused twin baseline.
 func BenchmarkFieldColumnsBipartite(b *testing.B) {
 	benchGrid(b, func(b *testing.B, n, r int) {
-		nu := n / 4
-		bp := randomBipartiteCoupler(nu, n-nu, 1)
+		bp := randomTwinCoupler(n/2, n/4, 1)
 		x := randomBlock(n, r, 2, 0)
 		out := make([]float64, n*r)
 		b.ReportAllocs()
-		b.SetBytes(int64(8 * nu * (n - nu)))
+		b.SetBytes(int64(8 * n / 2 * n / 4))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fieldColumns(bp, x, out, r)
@@ -250,31 +248,40 @@ func BenchmarkFieldColumnsBipartite(b *testing.B) {
 	})
 }
 
-// BenchmarkBipartiteField compares the single-lane bipartite kernels on
-// the Fig. 4 core-COP shape (c = 512 column-type spins against 2r = 256
-// pattern spins): the two-pass reference, the Go tiles, and the tiled
-// Field that every bSB step on the paper's path runs (the AVX2 tile on
-// CPUs that have it, else the Go tiles).
+// BenchmarkBipartiteField compares the single-lane twin kernels, each
+// called directly, on the Fig. 4 core-COP shape (c = 512 column-type
+// spins against r = 128 pattern pairs) and the n = 9 serve shape
+// (32×16): the two-pass reference, the Go kernels and the AVX2 kernels
+// (skipped on CPUs without AVX2), for Field and for its U half alone
+// (FieldU, the Theorem-3 product). SetBytes counts the stored block Q.
 func BenchmarkBipartiteField(b *testing.B) {
-	const nu, nw = 512, 256
-	bp := randomBipartiteCoupler(nu, nw, 1)
-	x := randomBlock(nu+nw, 1, 2, 0)
-	out := make([]float64, nu+nw)
-	kernels := []struct {
-		name  string
-		field func(x, out []float64)
-	}{
-		{"twopass", bp.fieldTwoPass},
-		{"go", bp.fieldGo},
-		{"tiled", bp.Field},
-	}
-	for _, k := range kernels {
-		b.Run(fmt.Sprintf("%s/%dx%d", k.name, nu, nw), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(8 * nu * nw))
-			for i := 0; i < b.N; i++ {
-				k.field(x, out)
-			}
-		})
+	for _, s := range [][2]int{{512, 128}, {32, 16}} {
+		c, r := s[0], s[1]
+		tw := randomTwinCoupler(c, r, 1)
+		x := randomBlock(tw.N(), 1, 2, 0)
+		out := make([]float64, tw.N())
+		kernels := []struct {
+			name  string
+			field func(x, out []float64)
+			avx2  bool
+		}{
+			{"twopass", tw.fieldTwoPass, false},
+			{"go", tw.fieldGo, false},
+			{"avx2", tw.fieldAVX2, true},
+			{"go-u", tw.fieldUGo, false},
+			{"avx2-u", tw.fieldUAVX2, true},
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/%dx%d", k.name, c, r), func(b *testing.B) {
+				if k.avx2 && !hasAVX2 {
+					b.Skip("CPU has no AVX2")
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(8 * c * r))
+				for i := 0; i < b.N; i++ {
+					k.field(x, out)
+				}
+			})
+		}
 	}
 }

@@ -18,22 +18,24 @@ func randomDenseCoupler(n int, seed int64) *Dense {
 	return d
 }
 
-// randomBipartite builds a bipartite coupling with Gaussian cross terms.
-func randomBipartiteCoupler(nu, nw int, seed int64) *Bipartite {
+// randomTwinCoupler builds a c×r twin coupling with Gaussian entries.
+func randomTwinCoupler(c, r int, seed int64) *Twin {
 	rng := rand.New(rand.NewSource(seed))
-	b := NewBipartite(nu, nw)
-	for u := 0; u < nu; u++ {
-		for w := 0; w < nw; w++ {
-			b.SetCross(u, w, rng.NormFloat64())
+	t := NewTwin(c, r)
+	col := make([]float64, c)
+	for i := 0; i < r; i++ {
+		for j := range col {
+			col[j] = rng.NormFloat64()
 		}
+		t.SetColumn(i, col)
 	}
-	return b
+	return t
 }
 
 // randomBlock fills an n×r column-major replica block. A fraction of the
-// entries is forced to exactly zero to exercise the bipartite kernels'
-// x_u == 0 handling (the two-pass kernel skips those rows, the tiled
-// Field does not) — the bit-identity argument in the Field comment is
+// entries is forced to exactly zero to exercise the twin kernels'
+// x_u == 0 handling (the two-pass kernel skips those rows, the finite
+// kernels do not) — the bit-identity argument in the Field comment is
 // load-bearing there.
 func randomBlock(n, r int, seed int64, zeroFrac float64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -78,25 +80,26 @@ func TestFieldBatchMatchesFieldDense(t *testing.T) {
 	}
 }
 
-// TestFieldBatchMatchesFieldBipartite covers the bipartite kernel,
-// including skewed group sizes and the single-row/single-column edges.
+// TestFieldBatchMatchesFieldBipartite covers the twin kernel, including
+// skewed group sizes, the single-row/single-pair edges and a shape with
+// a full 32-row panel plus a remainder.
 func TestFieldBatchMatchesFieldBipartite(t *testing.T) {
-	cases := []struct{ nu, nw int }{
-		{1, 1}, {1, 5}, {5, 1}, {3, 8}, {8, 3}, {16, 16}, {6, 30},
+	cases := []struct{ c, r int }{
+		{1, 1}, {1, 5}, {5, 1}, {3, 8}, {8, 3}, {16, 16}, {6, 30}, {35, 17},
 	}
 	for _, c := range cases {
 		for _, r := range []int{1, 3, 4, 5, 8, 9} {
-			b := randomBipartiteCoupler(c.nu, c.nw, int64(c.nu*31+c.nw))
-			assertBatchMatchesField(t, b, b.N(), r, int64(7*c.nu+r))
+			b := randomTwinCoupler(c.c, c.r, int64(c.c*31+c.r))
+			assertBatchMatchesField(t, b, b.N(), r, int64(7*c.c+r))
 		}
 	}
 }
 
-// TestFieldBatchBipartiteMatchesDense cross-checks the bipartite batched
+// TestFieldBatchBipartiteMatchesDense cross-checks the twin batched
 // kernel against the dense batched kernel on the materialized matrix
 // (tolerance-based: the two accumulate in different orders).
 func TestFieldBatchBipartiteMatchesDense(t *testing.T) {
-	b := randomBipartiteCoupler(9, 14, 5)
+	b := randomTwinCoupler(9, 7, 5)
 	d := b.ToDense()
 	n, r := b.N(), 6
 	x := randomBlock(n, r, 77, 0.1)
@@ -151,9 +154,9 @@ func TestFieldBatchShortBlockPanics(t *testing.T) {
 func TestFieldBatchNoAllocs(t *testing.T) {
 	n, r := 24, 6
 	couplers := map[string]Coupler{
-		"dense":     randomDenseCoupler(n, 3),
-		"bipartite": randomBipartiteCoupler(n/2, n-n/2, 4),
-		"fallback":  plainCoupler{randomDenseCoupler(n, 5)},
+		"dense":    randomDenseCoupler(n, 3),
+		"twin":     randomTwinCoupler(n/2, n/4, 4),
+		"fallback": plainCoupler{randomDenseCoupler(n, 5)},
 	}
 	x := randomBlock(n, r, 6, 0)
 	out := make([]float64, n*r)
@@ -184,16 +187,16 @@ func TestFrobeniusNormMemoized(t *testing.T) {
 		t.Fatal("Set did not invalidate the cached norm")
 	}
 
-	b := randomBipartiteCoupler(4, 6, 12)
+	b := randomTwinCoupler(4, 3, 12)
 	bfirst := b.FrobeniusNorm()
-	b.b[0] += 50
+	b.q[0] += 50
 	if got := b.FrobeniusNorm(); got != bfirst {
-		t.Fatalf("bipartite norm rescanned without invalidation: %g != cached %g", got, bfirst)
+		t.Fatalf("twin norm rescanned without invalidation: %g != cached %g", got, bfirst)
 	}
-	b.b[0] -= 50
-	b.AddCross(0, 0, 3)
+	b.q[0] -= 50
+	b.SetColumn(0, []float64{3, 0, 0, 0})
 	if got := b.FrobeniusNorm(); got == bfirst {
-		t.Fatal("AddCross did not invalidate the cached norm")
+		t.Fatal("SetColumn did not invalidate the cached norm")
 	}
 }
 

@@ -6,18 +6,17 @@ import (
 )
 
 // TestBipartiteFieldBatchNonFiniteRoutesToFallback is the regression test
-// for the batched bipartite kernel's wrong-answer case: the scalar Field
+// for the batched twin kernel's wrong-answer case: the two-pass kernel
 // skips W-side rank-1 contributions where x[u] is exactly zero, while the
-// batch tile multiplies through — fine for finite J, but 0·Inf = NaN. A
-// non-finite coupling must route FieldBatch to the per-lane scalar path
-// so both agree bitwise.
+// finite-block kernels multiply through — fine for finite J, but
+// 0·Inf = NaN. A non-finite coupling must route FieldBatch to the
+// per-lane two-pass path so both agree bitwise.
 func TestBipartiteFieldBatchNonFiniteRoutesToFallback(t *testing.T) {
-	nu, nw := 3, 4
-	n := nu + nw
-	b := NewBipartite(nu, nw)
-	b.SetCross(0, 1, math.Inf(1))
-	b.SetCross(1, 2, -2)
-	b.SetCross(2, 0, 0.5)
+	nu, pairs := 3, 2
+	n := nu + 2*pairs
+	b := NewTwin(nu, pairs)
+	b.SetColumn(0, []float64{0, 0, 0.5})
+	b.SetColumn(1, []float64{math.Inf(1), -2, 0})
 	if b.AllFinite() {
 		t.Fatal("AllFinite missed the Inf coupling")
 	}
@@ -25,8 +24,8 @@ func TestBipartiteFieldBatchNonFiniteRoutesToFallback(t *testing.T) {
 	r := 5
 	x := randomBlock(n, r, 11, 0)
 	// Zero out the U spin that feeds the Inf coupling in some lanes: the
-	// scalar kernel's xv==0 skip makes those W fields finite, the naive
-	// tile would make them NaN.
+	// two-pass kernel's xv==0 skip makes those W fields finite, the
+	// finite-block kernels would make them NaN.
 	x[0*n+0] = 0
 	x[2*n+0] = 0
 	x[4*n+0] = 0
@@ -44,26 +43,24 @@ func TestBipartiteFieldBatchNonFiniteRoutesToFallback(t *testing.T) {
 	}
 }
 
-// TestBipartiteAllFiniteMemoized: the finiteness scan is cached (the
-// batch kernel consults it every call) and invalidated only by
-// SetCross/AddCross.
+// TestBipartiteAllFiniteMemoized: the finiteness scan is cached (Field
+// consults it every call) and invalidated only by SetColumn.
 func TestBipartiteAllFiniteMemoized(t *testing.T) {
-	b := NewBipartite(2, 2)
-	b.SetCross(0, 0, 1)
+	b := NewTwin(2, 2)
+	b.SetColumn(0, []float64{1, 0})
 	if !b.AllFinite() {
 		t.Fatal("finite coupler reported non-finite")
 	}
-	b.b[1] = math.NaN() // behind the cache's back
+	b.q[1] = math.NaN() // behind the cache's back
 	if !b.AllFinite() {
 		t.Fatal("scan re-ran without invalidation")
 	}
-	b.SetCross(1, 1, 2) // invalidates; NaN still present
+	b.SetColumn(0, []float64{2, 0}) // invalidates; NaN still present
 	if b.AllFinite() {
-		t.Fatal("SetCross did not invalidate the finiteness cache")
+		t.Fatal("SetColumn did not invalidate the finiteness cache")
 	}
-	b.b[1] = 0
-	b.AddCross(0, 1, 1)
+	b.SetColumn(1, []float64{0, 1}) // overwrites the NaN
 	if !b.AllFinite() {
-		t.Fatal("AddCross did not invalidate the finiteness cache")
+		t.Fatal("SetColumn did not invalidate the finiteness cache")
 	}
 }

@@ -82,13 +82,8 @@ func TestDenseDiagonalPanics(t *testing.T) {
 func TestBipartiteMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 20; trial++ {
-		nu, nw := 1+rng.Intn(6), 1+rng.Intn(6)
-		b := NewBipartite(nu, nw)
-		for u := 0; u < nu; u++ {
-			for w := 0; w < nw; w++ {
-				b.SetCross(u, w, rng.NormFloat64())
-			}
-		}
+		c, r := 1+rng.Intn(40), 1+rng.Intn(6)
+		b := randomTwinCoupler(c, r, rng.Int63())
 		d := b.ToDense()
 		n := b.N()
 		// At equivalence.
@@ -120,15 +115,29 @@ func TestBipartiteMatchesDense(t *testing.T) {
 	}
 }
 
-func TestBipartiteAddCross(t *testing.T) {
-	b := NewBipartite(2, 2)
-	b.AddCross(0, 1, 1.5)
-	b.AddCross(0, 1, 0.5)
-	if b.At(0, 3) != 2.0 {
-		t.Errorf("At(0,3) = %g", b.At(0, 3))
+// TestTwinSetColumnLayout pins At's view of a twin block: U_j couples to
+// W1_i through Q_ji and to W2_i through 0 − Q_ji, symmetrically, and
+// nothing couples within a group. SetColumn stores 0 + q, so a −0 entry
+// reads back as +0 on both sides.
+func TestTwinSetColumnLayout(t *testing.T) {
+	b := NewTwin(2, 2)
+	b.SetColumn(1, []float64{2, math.Copysign(0, -1)})
+	// Spins: U 0-1, W1 2-3, W2 4-5.
+	if b.At(0, 3) != 2 || b.At(3, 0) != 2 {
+		t.Errorf("At(0,3) = %g, At(3,0) = %g, want 2", b.At(0, 3), b.At(3, 0))
 	}
-	if b.At(0, 1) != 0 { // both in U group
-		t.Error("intra-group coupling nonzero")
+	if b.At(0, 5) != -2 || b.At(5, 0) != -2 {
+		t.Errorf("At(0,5) = %g, At(5,0) = %g, want -2", b.At(0, 5), b.At(5, 0))
+	}
+	for _, ij := range [][2]int{{1, 3}, {1, 5}, {0, 2}, {0, 4}} {
+		if v := b.At(ij[0], ij[1]); math.Float64bits(v) != 0 {
+			t.Errorf("At(%d,%d) = %v (%#x), want +0", ij[0], ij[1], v, math.Float64bits(v))
+		}
+	}
+	for _, ij := range [][2]int{{0, 1}, {2, 3}, {2, 4}, {3, 5}} {
+		if b.At(ij[0], ij[1]) != 0 {
+			t.Errorf("intra-group coupling At(%d,%d) nonzero", ij[0], ij[1])
+		}
 	}
 }
 
@@ -228,12 +237,7 @@ func TestEnergyLengthPanics(t *testing.T) {
 func TestEnergyContinuousIntoMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d, h := randomDense(8, rng)
-	b := NewBipartite(3, 5)
-	for u := 0; u < 3; u++ {
-		for w := 0; w < 5; w++ {
-			b.SetCross(u, w, rng.NormFloat64())
-		}
-	}
+	b := randomTwinCoupler(4, 2, rng.Int63())
 	for _, p := range []*Problem{
 		mustProblem(d, h),
 		mustProblem(b, h),
@@ -269,15 +273,10 @@ func mustProblem(c Coupler, h []float64) *Problem {
 func TestEnergyContinuousIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	d, h := randomDense(16, rng)
-	bip := NewBipartite(6, 10)
-	for u := 0; u < 6; u++ {
-		for w := 0; w < 10; w++ {
-			bip.SetCross(u, w, rng.NormFloat64())
-		}
-	}
+	tw := randomTwinCoupler(6, 5, rng.Int63())
 	for name, p := range map[string]*Problem{
-		"dense":     mustProblem(d, h),
-		"bipartite": mustProblem(bip, h),
+		"dense": mustProblem(d, h),
+		"twin":  mustProblem(tw, h),
 	} {
 		n := p.N()
 		x := make([]float64, n)

@@ -137,10 +137,10 @@ func TestQuantizeRejections(t *testing.T) {
 	if _, ok := Quantize(inf); ok {
 		t.Fatal("accepted an Inf coupling")
 	}
-	b := NewBipartite(3, 3)
-	b.SetCross(0, 0, 1)
+	b := NewTwin(3, 3)
+	b.SetColumn(0, []float64{1, 0, 0})
 	if _, ok := Quantize(b); ok {
-		t.Fatal("accepted a Bipartite coupler (no quantized kernel for it)")
+		t.Fatal("accepted a Twin coupler (no quantized kernel for it)")
 	}
 }
 

@@ -13,17 +13,20 @@ import (
 	"isinglut/internal/metrics"
 )
 
-// bipartiteProblem builds a core-COP-shaped instance on the Bipartite
-// coupler so the fused tests also exercise its batched kernel.
-func bipartiteProblem(nu, nw int, seed int64) *ising.Problem {
+// bipartiteProblem builds a core-COP-shaped instance on the Twin coupler
+// (c U spins against r pairs) so the fused tests also exercise its
+// batched kernel.
+func bipartiteProblem(c, r int, seed int64) *ising.Problem {
 	rng := rand.New(rand.NewSource(seed))
-	b := ising.NewBipartite(nu, nw)
-	for u := 0; u < nu; u++ {
-		for w := 0; w < nw; w++ {
-			b.SetCross(u, w, rng.NormFloat64())
+	b := ising.NewTwin(c, r)
+	col := make([]float64, c)
+	for i := 0; i < r; i++ {
+		for j := range col {
+			col[j] = rng.NormFloat64()
 		}
+		b.SetColumn(i, col)
 	}
-	h := make([]float64, nu+nw)
+	h := make([]float64, b.N())
 	for i := range h {
 		h[i] = rng.NormFloat64() * 0.2
 	}
@@ -78,7 +81,7 @@ func assertSameBatch(t *testing.T, label string, fr Result, fs Stats, ur Result,
 func TestSolveFusedBitIdenticalToUnfused(t *testing.T) {
 	problems := map[string]*ising.Problem{
 		"dense":     randomProblem(17, 31),
-		"bipartite": bipartiteProblem(5, 14, 32),
+		"bipartite": bipartiteProblem(5, 7, 32),
 	}
 	stops := map[string]*StopCriteria{
 		"nostop": nil,
