@@ -9,17 +9,8 @@
 // The tool shells out to `go test -bench` (so the numbers are exactly
 // what any contributor can reproduce) and parses the standard benchmark
 // output lines into {name, ns_op, allocs_op, runs} records, plus derived
-// speedup ratios for the fused-vs-unfused engine pairs.
-//
-// Every run folds a cmd/loadgen report into the output as a "serving"
-// section, so one artifact carries both the solver-kernel and the
-// serving-layer numbers (the ROADMAP's track-serving-per-PR item). By
-// default the tool boots loadgen's in-process server itself; -serving
-// substitutes an existing report and -noserving opts out entirely:
-//
-//	go run ./cmd/benchjson -out BENCH_PR9.json                   # benches + fresh serving baseline
-//	go run ./cmd/loadgen -boot -rps 200 -duration 10s -out /tmp/serving.json
-//	go run ./cmd/benchjson -serving /tmp/serving.json -out BENCH_PR6.json
+// speedup ratios for the baseline-vs-optimized kernel pairs. Serving
+// numbers come from perfbench's serve-decompose workload, not from here.
 package main
 
 import (
@@ -47,10 +38,10 @@ type benchResult struct {
 // speedup compares a baseline benchmark against its optimized
 // counterpart at equal parameters.
 type speedup struct {
-	Case     string  `json:"case"`
-	Baseline string  `json:"baseline"`
-	Fused    string  `json:"fused"`
-	Ratio    float64 `json:"ratio"` // baseline ns / fused ns
+	Case      string  `json:"case"`
+	Baseline  string  `json:"baseline"`
+	Optimized string  `json:"optimized"`
+	Ratio     float64 `json:"ratio"` // baseline ns / optimized ns
 }
 
 type report struct {
@@ -59,20 +50,14 @@ type report struct {
 	BenchTime   string        `json:"benchtime"`
 	Results     []benchResult `json:"results"`
 	Speedups    []speedup     `json:"speedups"`
-	// Serving is a cmd/loadgen report passed through verbatim via
-	// -serving (absent when the flag is unused).
-	Serving json.RawMessage `json:"serving,omitempty"`
 }
 
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveBatch|SolveFused|CoreSolveN16|BipartiteField|NewJointCOP|Theorem3", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|BipartiteField|NewJointCOP|Theorem3", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
 		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,./internal/core,.", "comma-separated packages to benchmark")
-		serving   = flag.String("serving", "", "existing cmd/loadgen JSON report to fold in as the serving section (default: run loadgen in-process)")
-		noServing = flag.Bool("noserving", false, "skip the serving section entirely")
-		servDur   = flag.Duration("serving-duration", 5*time.Second, "schedule length for the auto-run serving baseline")
 	)
 	flag.Parse()
 
@@ -93,27 +78,6 @@ func main() {
 		Results:     results,
 		Speedups:    deriveSpeedups(results),
 	}
-	switch {
-	case *noServing:
-	case *serving != "":
-		raw, err := os.ReadFile(*serving)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		if !json.Valid(raw) {
-			fmt.Fprintf(os.Stderr, "benchjson: %s is not valid JSON\n", *serving)
-			os.Exit(1)
-		}
-		rep.Serving = json.RawMessage(raw)
-	default:
-		raw, err := runServingBaseline(*servDur)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		rep.Serving = raw
-	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -129,36 +93,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: %d results -> %s\n", len(rep.Results), *out)
-}
-
-// runServingBaseline shells out to cmd/loadgen in boot mode (in-process
-// server on a loopback port, deterministic seeded schedule) so every
-// benchjson artifact carries a serving baseline without a separately
-// managed daemon.
-func runServingBaseline(dur time.Duration) (json.RawMessage, error) {
-	tmp, err := os.CreateTemp("", "benchjson-serving-*.json")
-	if err != nil {
-		return nil, err
-	}
-	path := tmp.Name()
-	tmp.Close()
-	defer os.Remove(path)
-
-	cmd := exec.Command("go", "run", "./cmd/loadgen",
-		"-boot", "-quiet", "-rps", "120", "-duration", dur.String(),
-		"-inflight", "128", "-seed", "7", "-out", path)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("serving baseline: %w", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if !json.Valid(raw) {
-		return nil, fmt.Errorf("serving baseline produced invalid JSON")
-	}
-	return json.RawMessage(raw), nil
 }
 
 // runBench shells out to go test and parses the benchmark lines.
@@ -222,9 +156,9 @@ func cpuSuffix(name string) string {
 }
 
 // deriveSpeedups pairs baseline/optimized benchmarks that share a
-// parameter suffix: SolveBatch vs SolveFused, FieldColumns vs FieldBatch
-// (per coupler), dense-kernel-on-sparse-instance vs the CSR and
-// quantized kernels, the float fused dSB solve vs its quantized and
+// parameter suffix: FieldColumns vs FieldBatch (per coupler),
+// dense-kernel-on-sparse-instance vs the CSR and quantized kernels, the
+// float dSB batch solve vs its quantized and
 // sparse counterparts, the scalar quantized kernels vs their
 // bit-packed popcount versions (kernel-level and end-to-end), and the
 // two-pass twin Field and its Go kernel vs the AVX2 kernel (FieldU too),
@@ -234,8 +168,7 @@ func deriveSpeedups(results []benchResult) []speedup {
 	for _, r := range results {
 		byName[r.Name] = r
 	}
-	pairs := []struct{ baseline, fused string }{
-		{"BenchmarkSolveBatch", "BenchmarkSolveFused"},
+	pairs := []struct{ baseline, optimized string }{
 		{"BenchmarkFieldColumnsDense", "BenchmarkFieldBatchDense"},
 		{"BenchmarkFieldColumnsBipartite", "BenchmarkFieldBatchBipartite"},
 		{"BenchmarkFieldBatchSparseAsDense", "BenchmarkFieldBatchSparseCSR"},
@@ -262,16 +195,16 @@ func deriveSpeedups(results []benchResult) []speedup {
 				continue
 			}
 			suffix := strings.TrimPrefix(r.Name, prefix)
-			fusedName := p.fused + "/" + suffix
-			f, ok := byName[fusedName]
-			if !ok || f.NsOp == 0 {
+			optName := p.optimized + "/" + suffix
+			o, ok := byName[optName]
+			if !ok || o.NsOp == 0 {
 				continue
 			}
 			out = append(out, speedup{
-				Case:     strings.TrimPrefix(p.baseline, "Benchmark") + "/" + suffix,
-				Baseline: r.Name,
-				Fused:    fusedName,
-				Ratio:    r.NsOp / f.NsOp,
+				Case:      strings.TrimPrefix(p.baseline, "Benchmark") + "/" + suffix,
+				Baseline:  r.Name,
+				Optimized: optName,
+				Ratio:     r.NsOp / o.NsOp,
 			})
 		}
 	}

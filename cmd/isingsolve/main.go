@@ -13,8 +13,7 @@
 // encoding E(s) = -sum_i h_i s_i - 1/2 sum_ij J_ij s_i s_j. Usage:
 //
 //	isingsolve -in problem.json -solver bsb -steps 2000 -stop
-//	isingsolve -in problem.json -replicas 8 -workers 4   # replica batch, best kept
-//	isingsolve -in problem.json -replicas 8 -fused       # fused lock-step batch
+//	isingsolve -in problem.json -replicas 8              # lock-step replica batch, best kept
 //	isingsolve -demo ring -demo-n 11 -solver sa
 //	isingsolve -in big.json -shard -max-shard 256        # shard-and-exchange decomposition
 //
@@ -61,8 +60,7 @@ func main() {
 		dt       = flag.Float64("dt", 0, "SB time step (0 = variant default)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		replicas = flag.Int("replicas", 1, "SB replicas: independent trajectories, best kept")
-		workers  = flag.Int("workers", 0, "concurrent SB replicas (0 = GOMAXPROCS)")
-		fused    = flag.Bool("fused", false, "force the fused replica engine (one coupling stream per step for all replicas); incompatible with -tracecsv")
+		workers  = flag.Int("workers", 0, "concurrent shard sub-solves with -shard (0 = GOMAXPROCS)")
 		rescue   = flag.Bool("rescue", false, "re-seed a diverged trajectory once with a halved dt instead of quarantining it")
 		sparse   = flag.Bool("sparse", false, "route the solve through the CSR sparse coupler when the instance is sparse enough (bit-identical results, nnz-bound kernels)")
 		quant    = flag.Bool("quant", false, "int8/int16 fixed-point dSB field kernels (quantize J once, integer accumulate); requires -solver dsb")
@@ -123,7 +121,6 @@ func main() {
 			Trace:    *csv != "",
 			Replicas: *replicas,
 			Workers:  *workers,
-			Fused:    *fused,
 			Rescue:   *rescue,
 			Sparse:   *sparse,
 			Quantize: *quant,

@@ -92,11 +92,12 @@ func SolveBSB(ctx context.Context, cop *COP, opts SolverOptions) Solution {
 	}
 }
 
-// theorem3Hook builds a fresh Theorem-3 intervention closure with its own
-// scratch buffers (so independent replicas can run concurrently, and a
-// call allocates nothing): at each sample point it reads the V1/V2
-// patterns off the position signs, computes the conditionally-optimal
-// column-type vector, and clamps the T spins to it with zeroed momenta.
+// theorem3Hook builds a Theorem-3 intervention closure with its own
+// scratch buffers (a call allocates nothing; the SB engine runs a batch's
+// lanes from one goroutine, so one closure serves every replica): at each
+// sample point it reads the V1/V2 patterns off the position signs,
+// computes the conditionally-optimal column-type vector, and clamps the T
+// spins to it with zeroed momenta.
 //
 // The optimum comes from the sign of the T-side field at
 // sigma_V = sign(x_V), one FieldU product: T_j = 1 exactly when
@@ -137,27 +138,22 @@ func theorem3Hook(f *Formulation) func(iter int, x, y []float64) {
 
 // SolveBSBBatch runs the proposed solver as a batch of independent SB
 // replicas and returns the best solution — the software counterpart of
-// SB's "massively parallel" hardware execution. Results are deterministic
-// for a fixed base seed. A cancelled batch returns the best solution
-// among the replicas that ran; Solution.Batch records the per-replica
-// stop reasons.
-//
-// Without the Theorem-3 heuristic the batch auto-fuses (sb.FuseAuto):
-// every replica advances in lock-step, with one batched field product
-// per step. Theorem3 installs a per-replica
-// sample hook, which forces the per-replica goroutine engine (up to
-// workers concurrent); the two engines return bit-identical results.
-func SolveBSBBatch(ctx context.Context, cop *COP, opts SolverOptions, replicas, workers int) Solution {
+// SB's "massively parallel" hardware execution. Every replica advances
+// in lock-step as a lane of one SB engine, with one batched field
+// product per step; with Theorem3 the one hook clamps each lane at its
+// sample points. Results are deterministic for a fixed base seed, and
+// lane k equals SolveBSB with seed SB.Seed + k. A cancelled batch returns
+// the best solution among the replicas that ran; Solution.Batch records
+// the per-replica stop reasons.
+func SolveBSBBatch(ctx context.Context, cop *COP, opts SolverOptions, replicas int) Solution {
 	start := time.Now()
 	if opts.SB.OnSample != nil {
 		panic("core: SolverOptions.SB.OnSample is reserved")
 	}
 	f := Formulate(cop)
-	bp := sb.BatchParams{Base: opts.SB, Replicas: replicas, Workers: workers}
+	bp := sb.BatchParams{Base: opts.SB, Replicas: replicas}
 	if opts.Theorem3 {
-		bp.MakeOnSample = func(int) func(int, []float64, []float64) {
-			return theorem3Hook(f)
-		}
+		bp.Base.OnSample = theorem3Hook(f)
 	}
 	res, stats := sb.SolveBatch(ctx, f.Problem, bp)
 	setting := f.DecodeSpins(res.Spins)

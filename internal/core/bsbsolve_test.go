@@ -139,7 +139,7 @@ func TestSolveBSBBatchQuality(t *testing.T) {
 		opts := DefaultSolverOptions()
 		opts.SB.Seed = 100
 		single := SolveBSB(context.Background(), cop, opts)
-		batch := SolveBSBBatch(context.Background(), cop, opts, 4, 4)
+		batch := SolveBSBBatch(context.Background(), cop, opts, 4)
 		if batch.Cost > single.Cost+1e-12 {
 			t.Fatalf("trial %d: batch %g worse than first replica %g", trial, batch.Cost, single.Cost)
 		}
@@ -153,38 +153,47 @@ func TestSolveBSBBatchDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	cop, _ := randomSeparateCOP(rng)
 	opts := DefaultSolverOptions()
-	a := SolveBSBBatch(context.Background(), cop, opts, 5, 3)
-	b := SolveBSBBatch(context.Background(), cop, opts, 5, 3)
+	a := SolveBSBBatch(context.Background(), cop, opts, 5)
+	b := SolveBSBBatch(context.Background(), cop, opts, 5)
 	if a.Cost != b.Cost {
 		t.Fatal("batch solver not deterministic")
 	}
 }
 
-// TestSolveBSBBatchFusedMatchesUnfused: without the Theorem-3 hook the
-// core batch auto-fuses; its result must be bit-identical to the forced
-// per-replica engine on the same bipartite formulation.
+// TestSolveBSBBatchFusedMatchesUnfused (named for the two engines it
+// once compared) pins the lane property on the core COP, with and
+// without the Theorem-3 hook: lane k of SolveBSBBatch is SolveBSB with
+// seed SB.Seed + k — energy, iterations and stop reason per replica, and
+// the winner's spins and cost.
 func TestSolveBSBBatchFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	cop, _ := randomSeparateCOP(rng)
-	opts := DefaultSolverOptions()
-	opts.Theorem3 = false // hook-free, so the sb layer auto-fuses
-	opts.SB.Seed = 17
-
-	auto := SolveBSBBatch(context.Background(), cop, opts, 5, 2)
-
-	f := Formulate(cop)
-	unfused, stats := sb.SolveBatch(context.Background(), f.Problem,
-		sb.BatchParams{Base: opts.SB, Replicas: 5, Workers: 2, Fused: sb.FuseOff})
-	if auto.Cost != cop.SettingCost(f.DecodeSpins(unfused.Spins)) {
-		t.Fatalf("fused core batch cost %g != unfused cost", auto.Cost)
-	}
-	if auto.SB.Energy != unfused.Energy || auto.Batch.BestReplica != stats.BestReplica {
-		t.Fatalf("fused (E=%g, best=%d) != unfused (E=%g, best=%d)",
-			auto.SB.Energy, auto.Batch.BestReplica, unfused.Energy, stats.BestReplica)
-	}
-	for r := range stats.Energies {
-		if auto.Batch.Energies[r] != stats.Energies[r] || auto.Batch.Iterations[r] != stats.Iterations[r] {
-			t.Fatalf("replica %d stats diverge between engines", r)
+	for _, thm3 := range []bool{false, true} {
+		opts := DefaultSolverOptions()
+		opts.Theorem3 = thm3
+		opts.SB.Seed = 17
+		batch := SolveBSBBatch(context.Background(), cop, opts, 5)
+		st := batch.Batch
+		for k := 0; k < st.Replicas; k++ {
+			single := opts
+			single.SB.Seed = opts.SB.Seed + int64(k)
+			sol := SolveBSB(context.Background(), cop, single)
+			if st.Energies[k] != sol.SB.Energy || st.Iterations[k] != sol.SB.Iterations || st.Stopped[k] != sol.SB.Stopped {
+				t.Fatalf("thm3=%v lane %d (E=%g, it=%d, %v) != SolveBSB (E=%g, it=%d, %v)", thm3, k,
+					st.Energies[k], st.Iterations[k], st.Stopped[k], sol.SB.Energy, sol.SB.Iterations, sol.SB.Stopped)
+			}
+			if k != st.BestReplica {
+				continue
+			}
+			if batch.Cost != sol.Cost || batch.SB.Samples != sol.SB.Samples {
+				t.Fatalf("thm3=%v winner lane %d cost %g (samples %d) != SolveBSB cost %g (samples %d)",
+					thm3, k, batch.Cost, batch.SB.Samples, sol.Cost, sol.SB.Samples)
+			}
+			for i := range sol.SB.Spins {
+				if batch.SB.Spins[i] != sol.SB.Spins[i] {
+					t.Fatalf("thm3=%v winner lane %d spin %d differs", thm3, k, i)
+				}
+			}
 		}
 	}
 }

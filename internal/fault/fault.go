@@ -3,12 +3,12 @@
 //
 // Production code declares named sites at package init:
 //
-//	var siteStep = fault.NewSite("sb.step")
+//	var siteField = fault.NewSite("ising.field")
 //
 // and consults them at the instrumented spot:
 //
-//	if siteStep.Fire() {
-//		field[0] = math.NaN() // inject the failure this site models
+//	if siteField.Fire() {
+//		out[0] = math.NaN() // inject the failure this site models
 //	}
 //
 // The site decides *what* failure firing means (a poisoned value, a
@@ -17,7 +17,7 @@
 // pointer load that returns false, so instrumented hot loops pay nothing
 // measurable. Tests arm a Scenario against a site by name:
 //
-//	fault.Arm("sb.step", fault.Scenario{After: 3})       // fire on the 4th hit
+//	fault.Arm("ising.field", fault.Scenario{After: 3})   // fire on the 4th hit
 //	fault.Arm("serve.job", fault.Scenario{Prob: 0.5, Seed: 7})
 //	defer fault.DisarmAll()
 //

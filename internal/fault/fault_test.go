@@ -195,7 +195,7 @@ func TestParseSpec(t *testing.T) {
 	}{
 		{spec: "serve.job", site: "serve.job", want: Scenario{}},
 		{spec: "serve.job=", site: "serve.job", want: Scenario{}},
-		{spec: "sb.step=after:3,times:-1", site: "sb.step", want: Scenario{After: 3, Times: -1}},
+		{spec: "ising.field=after:3,times:-1", site: "ising.field", want: Scenario{After: 3, Times: -1}},
 		{spec: "serve.cache=prob:0.25,seed:7,times:5", site: "serve.cache",
 			want: Scenario{Prob: 0.25, Seed: 7, Times: 5}},
 		{spec: "sb.diverge=keys:3+9+27,times:-1", site: "sb.diverge",

@@ -125,11 +125,56 @@ func (p plainCoupler) Field(x, out []float64) { p.c.Field(x, out) }
 func (p plainCoupler) At(i, j int) float64    { return p.c.At(i, j) }
 func (p plainCoupler) FrobeniusNorm() float64 { return p.c.FrobeniusNorm() }
 
-// TestFieldBatchFallback: a third-party Coupler without a batched kernel
-// must still work through the per-column fallback, bit-identically.
+// fieldCounter wraps a BatchCoupler and counts the Field and FieldBatch
+// calls that reach it.
+type fieldCounter struct {
+	BatchCoupler
+	field, batch int
+}
+
+func (c *fieldCounter) Field(x, out []float64) {
+	c.field++
+	c.BatchCoupler.Field(x, out)
+}
+
+func (c *fieldCounter) FieldBatch(x, out []float64, r int) {
+	c.batch++
+	c.BatchCoupler.FieldBatch(x, out, r)
+}
+
+// TestFieldBatchFallback: FieldBatch runs per-lane Field calls,
+// bit-identically, for a third-party Coupler without a batched kernel —
+// and for every built-in coupler at r = 1, where a single lane is
+// exactly one Field call and the batched kernel is not entered; at r = 2
+// the batched kernel runs once.
 func TestFieldBatchFallback(t *testing.T) {
 	d := randomDenseCoupler(12, 9)
 	assertBatchMatchesField(t, plainCoupler{d}, 12, 5, 21)
+
+	for name, c := range map[string]BatchCoupler{
+		"dense":  randomDenseCoupler(12, 9),
+		"sparse": NewSparseFromDense(randomDenseCoupler(12, 10)),
+		"twin":   randomTwinCoupler(5, 4, 11),
+	} {
+		fc := &fieldCounter{BatchCoupler: c}
+		n := c.N()
+		x := randomBlock(n, 2, 31, 0.2)
+		got, want := make([]float64, 2*n), make([]float64, n)
+		FieldBatch(fc, x[:n], got[:n], 1)
+		if fc.field != 1 || fc.batch != 0 {
+			t.Fatalf("%s r=1: %d Field and %d FieldBatch calls, want exactly one Field", name, fc.field, fc.batch)
+		}
+		c.Field(x[:n], want)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s r=1 spin %d: FieldBatch %v != Field %v", name, i, got[i], want[i])
+			}
+		}
+		FieldBatch(fc, x, got, 2)
+		if fc.field != 1 || fc.batch != 1 {
+			t.Fatalf("%s r=2: %d Field and %d FieldBatch calls, want the batched kernel once", name, fc.field, fc.batch)
+		}
+	}
 }
 
 // TestFieldBatchZeroReplicas: r=0 is a no-op, not a panic.

@@ -380,15 +380,20 @@ func sliceToLaneMasks(sliced []uint64, n, r, w int, lmask []uint64) {
 }
 
 // FieldSignsBatch is FieldSigns over r column-major replica lanes (the
-// fused-engine layout): it packs the lanes into the replica-bit-sliced
+// SB lane-engine layout): it packs the lanes into the replica-bit-sliced
 // array, transposes 64×64 tiles into per-lane masks, then streams each
 // group block [sign, plane_0…plane_{B-1}] once across all lanes — one
 // AND+POPCNT per plane word advances 64 spins of one lane, and the block
 // stays in registers/L1 across the whole lane sweep. Bit-identical to
-// Quantized.FieldSignsBatch lane by lane.
+// Quantized.FieldSignsBatch lane by lane; a single lane skips the
+// slicing and is one FieldSigns call.
 func (p *Planes) FieldSignsBatch(sigma, out []float64, r int) {
 	n := p.n
 	checkBatchDims(n, len(sigma), len(out), r)
+	if r == 1 {
+		p.FieldSigns(sigma, out)
+		return
+	}
 	p.ensureScratch(r)
 	packSignsSliced(sigma, n, r, p.sliced)
 	sliceToLaneMasks(p.sliced, n, r, p.w, p.lmask)

@@ -11,7 +11,7 @@
 // by the test suite.
 //
 // The built-in couplers additionally implement BatchCoupler, the
-// replica-batched field product used by the fused SB engine,
+// replica-batched field product used by the SB lane engine,
 // bit-identically to per-lane Field calls. Dense and Sparse produce
 // every replica lane in one traversal of the coupling structure.
 package ising
@@ -23,9 +23,9 @@ import (
 	"isinglut/internal/fault"
 )
 
-// siteField poisons the first output lane of a batched field product when
-// armed, modelling a NaN escaping the coupling kernel into the fused
-// engine's dynamics (the batched counterpart of the sb.step failpoint).
+// siteField poisons the first output lane of a field product taken
+// through FieldBatch when armed, modelling a NaN escaping the coupling
+// kernel into the SB engine's dynamics.
 var siteField = fault.NewSite("ising.field")
 
 // Coupler supplies the coupling structure of an Ising problem. Solvers
@@ -77,9 +77,12 @@ type BatchCoupler interface {
 // once, dispatching to the coupler's batched kernel when it has one and
 // falling back to one Field call per column otherwise — third-party
 // Couplers keep working unchanged, they just don't get the single-stream
-// traversal. x and out follow the BatchCoupler block layout.
+// traversal. A single lane (r = 1) is exactly one Field call: the
+// batched kernels' lane loops only pay off across lanes, and the
+// BatchCoupler contract makes the two bit-identical. x and out follow the
+// BatchCoupler block layout.
 func FieldBatch(c Coupler, x, out []float64, r int) {
-	if bc, ok := c.(BatchCoupler); ok {
+	if bc, ok := c.(BatchCoupler); ok && r != 1 {
 		bc.FieldBatch(x, out, r)
 	} else {
 		n := c.N()

@@ -251,12 +251,16 @@ func (q *Quantized) FieldSigns(sigma, out []float64) {
 }
 
 // FieldSignsBatch is FieldSigns over r column-major replica lanes (the
-// fused-engine layout): sigma and out are n×r blocks like FieldBatch's.
+// SB lane-engine layout): sigma and out are n×r blocks like FieldBatch's.
 // The accumulation is exact, hence order-independent, so each lane is
-// exactly FieldSigns of that lane.
+// exactly FieldSigns of that lane; a single lane is one FieldSigns call.
 func (q *Quantized) FieldSignsBatch(sigma, out []float64, r int) {
 	n := q.n
 	checkBatchDims(n, len(sigma), len(out), r)
+	if r == 1 {
+		q.FieldSigns(sigma, out)
+		return
+	}
 	switch {
 	case q.d8 != nil:
 		quantFieldDenseBatch(n, q.d8, q.rowBuf, sigma, out, q.scale, r)

@@ -3,7 +3,6 @@ package sb
 import (
 	"context"
 	"math"
-	"sync/atomic"
 	"testing"
 )
 
@@ -12,7 +11,7 @@ func TestSolveBatchAtLeastSingle(t *testing.T) {
 	base := DefaultParams()
 	base.Steps = 400
 	single := Solve(p, base)
-	batch, stats := SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 6, Workers: 3})
+	batch, stats := SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 6})
 	if batch.Energy > single.Energy+1e-12 {
 		t.Fatalf("batch %g worse than its first replica %g", batch.Energy, single.Energy)
 	}
@@ -44,31 +43,24 @@ func TestSolveBatchDeterministic(t *testing.T) {
 	p := randomProblem(10, 4)
 	base := DefaultParams()
 	base.Steps = 300
-	bp := BatchParams{Base: base, Replicas: 5, Workers: 4}
+	bp := BatchParams{Base: base, Replicas: 5}
 	a, as := SolveBatch(context.Background(), p, bp)
 	b, bs := SolveBatch(context.Background(), p, bp)
-	if a.Energy != b.Energy {
+	if a.Energy != b.Energy || as.BestReplica != bs.BestReplica {
 		t.Fatal("batch not deterministic")
 	}
-	// And identical to a serial batch, stats included.
-	bp.Workers = 1
-	c, cs := SolveBatch(context.Background(), p, bp)
-	if a.Energy != c.Energy {
-		t.Fatal("parallel batch differs from serial batch")
-	}
-	if as.BestReplica != cs.BestReplica || as.BestReplica != bs.BestReplica {
-		t.Fatalf("winning replica varies: %d/%d/%d", as.BestReplica, bs.BestReplica, cs.BestReplica)
-	}
 	for r := range as.Energies {
-		if as.Energies[r] != cs.Energies[r] || as.Iterations[r] != cs.Iterations[r] {
-			t.Fatalf("replica %d stats differ between parallel and serial", r)
+		if as.Energies[r] != bs.Energies[r] || as.Iterations[r] != bs.Iterations[r] {
+			t.Fatalf("replica %d stats differ between runs", r)
 		}
 	}
 	for i := range a.Spins {
-		if a.Spins[i] != c.Spins[i] {
-			t.Fatal("parallel batch spins differ from serial batch")
+		if a.Spins[i] != b.Spins[i] {
+			t.Fatal("batch spins differ between runs")
 		}
 	}
+	// And each lane is its own r = 1 solve.
+	assertLanesMatchSingles(t, "deterministic", p, bp, nil)
 }
 
 func TestSolveBatchDefaults(t *testing.T) {
@@ -84,38 +76,44 @@ func TestSolveBatchDefaults(t *testing.T) {
 	}
 }
 
+// TestSolveBatchSharedHookSerializes: one OnSample hook serves every
+// lane from the engine's single goroutine, so an unsynchronized counter
+// is safe (run under -race to enforce) and the hook runs exactly once per
+// lane per sample point: 10 sample points at SampleEvery = 10 over 100
+// steps, the last one doubling as the final sample.
 func TestSolveBatchSharedHookSerializes(t *testing.T) {
-	// With a shared OnSample hook and no factory, the batch must fall back
-	// to serial execution; the hook counting below would race otherwise
-	// (run under -race to enforce).
 	p := randomProblem(8, 6)
 	base := DefaultParams()
 	base.Steps = 100
 	base.SampleEvery = 10
-	calls := 0 // deliberately not atomic: safe only if serialized
-	base.OnSample = func(int, []float64, []float64) { calls++ }
-	_, _ = SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 4, Workers: 4})
-	if calls == 0 {
-		t.Fatal("hook never ran")
+	calls := map[int]int{} // deliberately unsynchronized
+	base.OnSample = func(iter int, _, _ []float64) { calls[iter]++ }
+	_, stats := SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 4})
+	if len(calls) != 10 {
+		t.Fatalf("hook ran at %d distinct iterations, want 10: %v", len(calls), calls)
+	}
+	for it := 10; it <= 100; it += 10 {
+		if calls[it] != stats.Replicas {
+			t.Fatalf("hook ran %d times at iteration %d, want once per lane (%d)", calls[it], it, stats.Replicas)
+		}
 	}
 }
 
-func TestSolveBatchHookFactoryParallel(t *testing.T) {
-	p := randomProblem(8, 7)
-	base := DefaultParams()
-	base.Steps = 100
-	base.SampleEvery = 10
-	var calls int64
-	bp := BatchParams{
-		Base:     base,
-		Replicas: 4,
-		Workers:  4,
-		MakeOnSample: func(int) func(int, []float64, []float64) {
-			return func(int, []float64, []float64) { atomic.AddInt64(&calls, 1) }
-		},
+// TestSolveMetricsCounts: in the metrics registry an r = 1 SolveWith
+// counts as one sb run and no sb.batch run; an r-replica batch counts r
+// sb runs (one per lane) and one sb.batch run.
+func TestSolveMetricsCounts(t *testing.T) {
+	p := randomProblem(8, 12)
+	params := DefaultParams()
+	params.Steps = 50
+	runs, batches := met.Runs.Load(), batchMet.Runs.Load()
+	SolveWith(context.Background(), p, params, NewWorkspace(p.N()))
+	if got, gotB := met.Runs.Load()-runs, batchMet.Runs.Load()-batches; got != 1 || gotB != 0 {
+		t.Fatalf("SolveWith counted %d sb and %d sb.batch runs, want 1 and 0", got, gotB)
 	}
-	_, _ = SolveBatch(context.Background(), p, bp)
-	if atomic.LoadInt64(&calls) == 0 {
-		t.Fatal("factory hooks never ran")
+	runs, batches = met.Runs.Load(), batchMet.Runs.Load()
+	SolveBatch(context.Background(), p, BatchParams{Base: params, Replicas: 3})
+	if got, gotB := met.Runs.Load()-runs, batchMet.Runs.Load()-batches; got != 3 || gotB != 1 {
+		t.Fatalf("3-replica SolveBatch counted %d sb and %d sb.batch runs, want 3 and 1", got, gotB)
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // benchBatchParams is the shared configuration for the engine benches:
-// a fixed step budget with no dynamic stop, so both engines execute
-// exactly the same Euler steps and the comparison isolates the field
-// kernel restructuring.
+// a fixed step budget with no dynamic stop, so every run executes
+// exactly the same Euler steps and the comparisons isolate the field
+// kernels.
 func benchBatchParams(replicas int) BatchParams {
 	base := DefaultParams()
 	base.Steps = 100
@@ -30,33 +30,18 @@ func benchEngineGrid(b *testing.B, run func(b *testing.B, n, r int)) {
 	}
 }
 
-// BenchmarkSolveBatch measures the per-replica goroutine engine (fusion
-// forced off): each replica streams the coupling matrix independently.
-func BenchmarkSolveBatch(b *testing.B) {
-	benchEngineGrid(b, func(b *testing.B, n, r int) {
-		p := randomProblem(n, int64(n))
-		bp := benchBatchParams(r)
-		bp.Fused = FuseOff
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			SolveBatch(context.Background(), p, bp)
-		}
-	})
-}
-
-// BenchmarkSolveFused measures the fused lock-step engine on the same
-// problems: one coupling stream per step for all replicas. The ≥2x
-// acceptance gate at n=256, r=32 compares this against BenchmarkSolveBatch.
+// BenchmarkSolveFused measures a replica batch on the lane engine over a
+// warm workspace: one coupling stream per step for all replicas. (The
+// name predates the single engine and keeps BENCH_*.json comparable.)
 func BenchmarkSolveFused(b *testing.B) {
 	benchEngineGrid(b, func(b *testing.B, n, r int) {
 		p := randomProblem(n, int64(n))
 		bp := benchBatchParams(r)
-		fw := NewFusedWorkspace(n, r)
+		ws := new(Workspace)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			SolveFusedWith(context.Background(), p, bp, fw)
+			solveBatch(context.Background(), p, bp, ws)
 		}
 	})
 }
@@ -95,18 +80,18 @@ func benchDSBParams(r int, quantize, bitpack bool) BatchParams {
 	return bp
 }
 
-// benchFusedDSB runs the fused engine over the grid on a prebuilt problem
+// benchFusedDSB runs the lane engine over the grid on a prebuilt problem
 // family; all five end-to-end dSB benches share it so the comparisons
 // isolate the coupler/quantization choice.
 func benchFusedDSB(b *testing.B, prob func(n int) *ising.Problem, quantize, bitpack bool) {
 	benchEngineGrid(b, func(b *testing.B, n, r int) {
 		p := prob(n)
 		bp := benchDSBParams(r, quantize, bitpack)
-		fw := NewFusedWorkspace(n, r)
+		ws := new(Workspace)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			SolveFusedWith(context.Background(), p, bp, fw)
+			solveBatch(context.Background(), p, bp, ws)
 		}
 	})
 }

@@ -83,11 +83,10 @@ func TestBitPackMatchesQuantTrajectory(t *testing.T) {
 	}
 }
 
-// TestBitPackFusedMatchesFuseOff pins the engine bit-identity contract on
-// the bit-packed path for both plane layouts: the per-replica goroutine
-// engine (each worker packing independently) and the fused lock-step
-// engine (one replica-bit-sliced sweep per step) must agree bitwise on
-// every replica.
+// TestBitPackFusedMatchesFuseOff pins the lane property on the
+// bit-packed path for both plane layouts: each lane of a packed batch
+// (one replica-bit-sliced sweep per step) equals its r = 1 packed solve
+// (one FieldSigns sweep per step) bitwise.
 func TestBitPackFusedMatchesFuseOff(t *testing.T) {
 	const replicas = 4
 	for _, tc := range []struct {
@@ -98,17 +97,10 @@ func TestBitPackFusedMatchesFuseOff(t *testing.T) {
 		{"csr", clusteredSparseProblem(96, 13)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := bitpackParams()
-			resOff, statsOff := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOff,
-			})
-			resOn, statsOn := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOn,
-			})
-			if !resOff.BitPacked || !resOn.BitPacked {
-				t.Fatalf("fast path not taken: FuseOff=%v FuseOn=%v", resOff.BitPacked, resOn.BitPacked)
+			res, _ := assertLanesMatchSingles(t, tc.name, tc.p, BatchParams{Base: bitpackParams(), Replicas: replicas}, nil)
+			if !res.BitPacked {
+				t.Fatal("fast path not taken")
 			}
-			assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
 		})
 	}
 }
@@ -132,36 +124,27 @@ func TestBitPackHeuristicFallback(t *testing.T) {
 }
 
 // TestBitPackPackFailpointFallback: with ising.bitpack.pack poisoning the
-// packer, both engines must degrade to the scalar quantized path
-// bit-identically — the chaos contract behind the fallback claim.
+// packer, a batch and each of its r = 1 solves must degrade to the scalar
+// quantized path bit-identically — the chaos contract behind the
+// fallback claim.
 func TestBitPackPackFailpointFallback(t *testing.T) {
 	const replicas = 3
 	p := randomProblem(64, 9)
-	quantOff, quantStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: quantParams(), Replicas: replicas, Fused: FuseOff,
-	})
+	quant, _ := SolveBatch(context.Background(), p, BatchParams{Base: quantParams(), Replicas: replicas})
 
 	defer fault.DisarmAll()
-	base := bitpackParams()
-	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
-	fbOff, fbOffStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
-	})
-	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
-	fbOn, fbOnStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	fb, _ := assertLanesMatchSingles(t, "pack fallback", p, BatchParams{Base: bitpackParams(), Replicas: replicas}, func() {
+		fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
 	})
 	fault.DisarmAll()
 
-	if fbOff.BitPacked || fbOn.BitPacked {
+	if fb.BitPacked {
 		t.Fatal("BitPacked reported after a forced packing failure")
 	}
-	if !fbOff.Quantized || !fbOn.Quantized {
+	if !fb.Quantized {
 		t.Fatal("poisoned packer must leave the scalar quantized path intact")
 	}
-	assertSameTrajectory(t, quantOff, fbOff, "FuseOff fallback")
-	assertBatchesIdentical(t, fbOff, fbOn, fbOffStats, fbOnStats)
-	assertBatchesIdentical(t, quantOff, fbOn, quantStats, fbOnStats)
+	assertSameTrajectory(t, quant, fb, "pack fallback winner")
 }
 
 // TestBitPackAccumPoisonDiverges: an always-firing popcount-accumulate

@@ -89,7 +89,7 @@ func TestSolveBatchCancelledMidRunReturnsPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, stats := SolveBatch(ctx, p, BatchParams{Base: params, Replicas: 8, Workers: 2})
+	res, stats := SolveBatch(ctx, p, BatchParams{Base: params, Replicas: 8})
 	elapsed := time.Since(start)
 
 	// Generous promptness bound: a replica stops within one 16-iteration
@@ -132,9 +132,6 @@ func TestSolveBatchCancelledMidRunReturnsPromptly(t *testing.T) {
 	if launched != stats.Launched {
 		t.Fatalf("per-replica reasons count %d launched, Stats.Launched = %d", launched, stats.Launched)
 	}
-	if launched == stats.Replicas {
-		t.Log("note: every replica launched before the cancel landed (slow dispatch); promptness still held")
-	}
 }
 
 // TestSolveBatchUnlaunchedReplicaEnergiesAreInf is the regression test
@@ -150,7 +147,7 @@ func TestSolveBatchUnlaunchedReplicaEnergiesAreInf(t *testing.T) {
 	params.SampleEvery = 10
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, stats := SolveBatch(ctx, p, BatchParams{Base: params, Replicas: 6, Workers: 2})
+	res, stats := SolveBatch(ctx, p, BatchParams{Base: params, Replicas: 6})
 	if stats.Launched >= stats.Replicas {
 		t.Fatalf("pre-cancelled batch launched all %d replicas; need unlaunched slots", stats.Replicas)
 	}
@@ -194,7 +191,7 @@ func TestSolveBatchPreCancelledStillRunsReplicaZero(t *testing.T) {
 	params.SampleEvery = 10
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, stats := SolveBatch(ctx, p, BatchParams{Base: params, Replicas: 6, Workers: 3})
+	res, stats := SolveBatch(ctx, p, BatchParams{Base: params, Replicas: 6})
 	if stats.Launched != 1 {
 		t.Fatalf("Launched = %d, want exactly replica 0", stats.Launched)
 	}

@@ -1,7 +1,6 @@
 package sb
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -11,8 +10,7 @@ import (
 
 // divergenceParams is the shared configuration of the divergence tests:
 // mid-run sampling is on (SampleEvery) so the guard sees the poisoned
-// energy well before the final evaluation, in both engines at the same
-// cadence.
+// energy well before the final evaluation.
 func divergenceParams(v Variant) Params {
 	p := DefaultParamsFor(v)
 	p.Steps = 240
@@ -21,49 +19,11 @@ func divergenceParams(v Variant) Params {
 	return p
 }
 
-// assertBatchesIdentical pins the bit-identity contract between the
-// goroutine and fused engines under the same injected fault.
-func assertBatchesIdentical(t *testing.T, off, on Result, offs, ons Stats) {
-	t.Helper()
-	if math.Float64bits(off.Energy) != math.Float64bits(on.Energy) {
-		t.Fatalf("winner energy differs across engines: %g vs %g", off.Energy, on.Energy)
-	}
-	if off.Iterations != on.Iterations || off.Stopped != on.Stopped ||
-		off.Diverged != on.Diverged || off.Rescued != on.Rescued {
-		t.Fatalf("winner shape differs: %+v vs %+v",
-			[]any{off.Iterations, off.Stopped, off.Diverged, off.Rescued},
-			[]any{on.Iterations, on.Stopped, on.Diverged, on.Rescued})
-	}
-	for i := range off.Spins {
-		if off.Spins[i] != on.Spins[i] {
-			t.Fatalf("winner spin %d differs across engines", i)
-		}
-	}
-	if offs.BestReplica != ons.BestReplica {
-		t.Fatalf("BestReplica differs: %d vs %d", offs.BestReplica, ons.BestReplica)
-	}
-	for r := 0; r < offs.Replicas; r++ {
-		if math.Float64bits(offs.Energies[r]) != math.Float64bits(ons.Energies[r]) {
-			t.Fatalf("replica %d energy differs: %g vs %g", r, offs.Energies[r], ons.Energies[r])
-		}
-		if offs.Iterations[r] != ons.Iterations[r] {
-			t.Fatalf("replica %d iterations differ: %d vs %d", r, offs.Iterations[r], ons.Iterations[r])
-		}
-		if offs.Stopped[r] != ons.Stopped[r] {
-			t.Fatalf("replica %d stop reason differs: %v vs %v", r, offs.Stopped[r], ons.Stopped[r])
-		}
-		if offs.Diverged[r] != ons.Diverged[r] || offs.Rescued[r] != ons.Rescued[r] {
-			t.Fatalf("replica %d diverged/rescued flags differ", r)
-		}
-	}
-}
-
-// TestDivergenceQuarantineBothEngines drives the table of the issue's
-// divergence contract: for every SB variant, inject a NaN energy into one
-// replica (keyed by its seed, so both engines poison the same trajectory
-// regardless of scheduling) and assert quarantine — Stats.Diverged, +Inf
-// energy, StopDiverged — winner exclusion, and bit-identical behaviour of
-// the goroutine and fused engines.
+// TestDivergenceQuarantineBothEngines drives the divergence contract for
+// every SB variant: inject a NaN energy into one replica (keyed by its
+// seed, so a batch lane and its r = 1 solve poison the same trajectory)
+// and assert quarantine — Stats.Diverged, +Inf energy, StopDiverged —
+// winner exclusion, and that every lane still equals its r = 1 solve.
 func TestDivergenceQuarantineBothEngines(t *testing.T) {
 	const replicas = 4
 	const victim = 1
@@ -72,41 +32,29 @@ func TestDivergenceQuarantineBothEngines(t *testing.T) {
 			p := randomProblem(24, 7)
 			base := divergenceParams(v)
 			key := base.Seed + int64(victim)
-
-			fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
 			defer fault.DisarmAll()
-			resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOff,
+			res, st := assertLanesMatchSingles(t, v.String(), p, BatchParams{Base: base, Replicas: replicas}, func() {
+				fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
 			})
-			fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
-			resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOn,
-			})
-
-			for _, st := range []Stats{statsOff, statsOn} {
-				if !st.Diverged[victim] || st.Diverges != 1 {
-					t.Fatalf("Diverged = %v (count %d), want replica %d quarantined",
-						st.Diverged, st.Diverges, victim)
-				}
-				if !math.IsInf(st.Energies[victim], 1) {
-					t.Fatalf("diverged replica energy %g, want +Inf", st.Energies[victim])
-				}
-				if st.Stopped[victim] != metrics.StopDiverged {
-					t.Fatalf("diverged replica stop %v, want StopDiverged", st.Stopped[victim])
-				}
-				if st.BestReplica == victim {
-					t.Fatal("diverged replica won the batch")
-				}
+			if !st.Diverged[victim] || st.Diverges != 1 {
+				t.Fatalf("Diverged = %v (count %d), want replica %d quarantined",
+					st.Diverged, st.Diverges, victim)
 			}
-			for _, res := range []Result{resOff, resOn} {
-				if res.Diverged {
-					t.Fatal("winner carries the Diverged flag with finite replicas available")
-				}
-				if !isFinite(res.Energy) {
-					t.Fatalf("winner energy %g not finite", res.Energy)
-				}
+			if !math.IsInf(st.Energies[victim], 1) {
+				t.Fatalf("diverged replica energy %g, want +Inf", st.Energies[victim])
 			}
-			assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
+			if st.Stopped[victim] != metrics.StopDiverged {
+				t.Fatalf("diverged replica stop %v, want StopDiverged", st.Stopped[victim])
+			}
+			if st.BestReplica == victim {
+				t.Fatal("diverged replica won the batch")
+			}
+			if res.Diverged {
+				t.Fatal("winner carries the Diverged flag with finite replicas available")
+			}
+			if !isFinite(res.Energy) {
+				t.Fatalf("winner energy %g not finite", res.Energy)
+			}
 		})
 	}
 }
@@ -114,7 +62,7 @@ func TestDivergenceQuarantineBothEngines(t *testing.T) {
 // TestAllReplicasDiverged injects divergence into every replica: the
 // batch must report +Inf energies and the Diverged flag on the winner —
 // never a garbage finite winner — and the spins must still be a valid ±1
-// state in both engines.
+// state.
 func TestAllReplicasDiverged(t *testing.T) {
 	const replicas = 3
 	p := randomProblem(16, 3)
@@ -123,53 +71,41 @@ func TestAllReplicasDiverged(t *testing.T) {
 	for r := range keys {
 		keys[r] = base.Seed + int64(r)
 	}
-
-	fault.MustArm("sb.diverge", fault.Scenario{Keys: keys, Times: -1})
 	defer fault.DisarmAll()
-	resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	res, st := assertLanesMatchSingles(t, "all diverged", p, BatchParams{Base: base, Replicas: replicas}, func() {
+		fault.MustArm("sb.diverge", fault.Scenario{Keys: keys, Times: -1})
 	})
-	fault.MustArm("sb.diverge", fault.Scenario{Keys: keys, Times: -1})
-	resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
-	})
-
-	for _, st := range []Stats{statsOff, statsOn} {
-		if st.Diverges != replicas {
-			t.Fatalf("Diverges = %d, want all %d", st.Diverges, replicas)
+	if st.Diverges != replicas {
+		t.Fatalf("Diverges = %d, want all %d", st.Diverges, replicas)
+	}
+	for r, e := range st.Energies {
+		if !math.IsInf(e, 1) {
+			t.Fatalf("replica %d energy %g, want +Inf", r, e)
 		}
-		for r, e := range st.Energies {
-			if !math.IsInf(e, 1) {
-				t.Fatalf("replica %d energy %g, want +Inf", r, e)
-			}
-			if st.Stopped[r] != metrics.StopDiverged {
-				t.Fatalf("replica %d stop %v, want StopDiverged", r, st.Stopped[r])
-			}
+		if st.Stopped[r] != metrics.StopDiverged {
+			t.Fatalf("replica %d stop %v, want StopDiverged", r, st.Stopped[r])
 		}
 	}
-	for _, res := range []Result{resOff, resOn} {
-		if !res.Diverged {
-			t.Fatal("all-diverged batch winner must carry the Diverged flag")
-		}
-		if !math.IsInf(res.Energy, 1) {
-			t.Fatalf("all-diverged batch energy %g, want +Inf", res.Energy)
-		}
-		if len(res.Spins) != p.N() {
-			t.Fatalf("spins length %d, want %d", len(res.Spins), p.N())
-		}
-		for i, s := range res.Spins {
-			if s != 1 && s != -1 {
-				t.Fatalf("spin %d = %d, want ±1", i, s)
-			}
+	if !res.Diverged {
+		t.Fatal("all-diverged batch winner must carry the Diverged flag")
+	}
+	if !math.IsInf(res.Energy, 1) {
+		t.Fatalf("all-diverged batch energy %g, want +Inf", res.Energy)
+	}
+	if len(res.Spins) != p.N() {
+		t.Fatalf("spins length %d, want %d", len(res.Spins), p.N())
+	}
+	for i, s := range res.Spins {
+		if s != 1 && s != -1 {
+			t.Fatalf("spin %d = %d, want ±1", i, s)
 		}
 	}
-	assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
 }
 
 // TestDivergenceRescue arms a one-shot poison against a single replica
 // with RescueDiverged on: the trajectory must recover (re-seeded, damped
-// dt), finish with a finite energy, carry the Rescued flag — and do so
-// bit-identically in both engines.
+// dt), finish with a finite energy, carry the Rescued flag — and its lane
+// must equal its rescued r = 1 solve.
 func TestDivergenceRescue(t *testing.T) {
 	const replicas = 3
 	const victim = 2
@@ -177,29 +113,19 @@ func TestDivergenceRescue(t *testing.T) {
 	base := divergenceParams(Ballistic)
 	base.RescueDiverged = true
 	key := base.Seed + int64(victim)
-
-	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}}) // Times 0: fire once
 	defer fault.DisarmAll()
-	resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	_, st := assertLanesMatchSingles(t, "rescue", p, BatchParams{Base: base, Replicas: replicas}, func() {
+		fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}}) // Times 0: fire once
 	})
-	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}})
-	resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
-	})
-
-	for _, st := range []Stats{statsOff, statsOn} {
-		if !st.Rescued[victim] || st.Rescues != 1 {
-			t.Fatalf("Rescued = %v (count %d), want replica %d rescued", st.Rescued, st.Rescues, victim)
-		}
-		if st.Diverged[victim] {
-			t.Fatal("rescued replica must not be quarantined")
-		}
-		if !isFinite(st.Energies[victim]) {
-			t.Fatalf("rescued replica energy %g, want finite", st.Energies[victim])
-		}
+	if !st.Rescued[victim] || st.Rescues != 1 {
+		t.Fatalf("Rescued = %v (count %d), want replica %d rescued", st.Rescued, st.Rescues, victim)
 	}
-	assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
+	if st.Diverged[victim] {
+		t.Fatal("rescued replica must not be quarantined")
+	}
+	if !isFinite(st.Energies[victim]) {
+		t.Fatalf("rescued replica energy %g, want finite", st.Energies[victim])
+	}
 }
 
 // TestDivergenceRescueSecondOverflowQuarantines pins the "one-shot" in
@@ -221,14 +147,15 @@ func TestDivergenceRescueSecondOverflowQuarantines(t *testing.T) {
 	}
 }
 
-// TestScalarStepPoisonDiverges drives the unkeyed sb.step failpoint: a
-// NaN escaping the field kernel mid-iteration must surface as a
-// quarantined run with valid ±1 spins, not as a garbage winner.
+// TestScalarStepPoisonDiverges drives the unkeyed ising.field failpoint
+// through a single-replica solve: a NaN escaping the field product
+// mid-iteration must surface as a quarantined run with valid ±1 spins,
+// not as a garbage winner.
 func TestScalarStepPoisonDiverges(t *testing.T) {
 	p := randomProblem(12, 9)
 	params := divergenceParams(Ballistic)
 
-	fault.MustArm("sb.step", fault.Scenario{After: 5, Times: -1})
+	fault.MustArm("ising.field", fault.Scenario{After: 5, Times: -1})
 	defer fault.DisarmAll()
 	res := Solve(p, params)
 	if !res.Diverged || !math.IsInf(res.Energy, 1) {

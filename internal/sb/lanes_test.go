@@ -14,7 +14,7 @@ import (
 )
 
 // bipartiteProblem builds a core-COP-shaped instance on the Twin coupler
-// (c U spins against r pairs) so the fused tests also exercise its
+// (c U spins against r pairs) so the lane tests also exercise its
 // batched kernel.
 func bipartiteProblem(c, r int, seed int64) *ising.Problem {
 	rng := rand.New(rand.NewSource(seed))
@@ -37,47 +37,63 @@ func bipartiteProblem(c, r int, seed int64) *ising.Problem {
 	return p
 }
 
-// assertSameBatch compares a fused and an unfused batch outcome field by
-// field, bitwise — the determinism contract SolveFused advertises.
-func assertSameBatch(t *testing.T, label string, fr Result, fs Stats, ur Result, us Stats) {
+// assertLanesMatchSingles is the lane property every batch contract
+// reduces to: lane k of an r-replica batch equals, bit for bit, the
+// r = 1 solve with seed Base.Seed + k — energy, iterations, stop reason
+// and divergence flags per launched replica, and for the winner its
+// spins, samples, trace and kernel flags; the winner is the lowest
+// energy, ties to the lowest index. arm, when non-nil, re-arms the
+// failpoints before every solve. It returns the batch outcome.
+func assertLanesMatchSingles(t *testing.T, label string, p *ising.Problem, bp BatchParams, arm func()) (Result, Stats) {
 	t.Helper()
-	if fr.Energy != ur.Energy || fr.Objective != ur.Objective {
-		t.Fatalf("%s: fused winner E=%g/obj=%g, unfused E=%g/obj=%g",
-			label, fr.Energy, fr.Objective, ur.Energy, ur.Objective)
+	if arm != nil {
+		arm()
 	}
-	if fr.Iterations != ur.Iterations || fr.Samples != ur.Samples ||
-		fr.Stopped != ur.Stopped || fr.StoppedEarly != ur.StoppedEarly {
-		t.Fatalf("%s: fused winner run shape (it=%d, s=%d, %v, early=%v) != unfused (it=%d, s=%d, %v, early=%v)",
-			label, fr.Iterations, fr.Samples, fr.Stopped, fr.StoppedEarly,
-			ur.Iterations, ur.Samples, ur.Stopped, ur.StoppedEarly)
-	}
-	for i := range fr.Spins {
-		if fr.Spins[i] != ur.Spins[i] {
-			t.Fatalf("%s: winner spins differ at %d", label, i)
+	res, st := SolveBatch(context.Background(), p, bp)
+	for k := 0; k < st.Launched; k++ {
+		params := bp.Base
+		params.Seed = bp.Base.Seed + int64(k)
+		if arm != nil {
+			arm()
+		}
+		single := SolveWith(context.Background(), p, params, NewWorkspace(p.N()))
+		if math.Float64bits(st.Energies[k]) != math.Float64bits(single.Energy) || st.Iterations[k] != single.Iterations ||
+			st.Stopped[k] != single.Stopped || st.EarlyStopped[k] != single.StoppedEarly ||
+			st.Diverged[k] != single.Diverged || st.Rescued[k] != single.Rescued {
+			t.Fatalf("%s: lane %d (E=%g, it=%d, %v, early=%v, div=%v, res=%v) != r=1 solve (E=%g, it=%d, %v, early=%v, div=%v, res=%v)",
+				label, k, st.Energies[k], st.Iterations[k], st.Stopped[k], st.EarlyStopped[k], st.Diverged[k], st.Rescued[k],
+				single.Energy, single.Iterations, single.Stopped, single.StoppedEarly, single.Diverged, single.Rescued)
+		}
+		if k != st.BestReplica {
+			continue
+		}
+		assertSameTrajectory(t, single, res, fmt.Sprintf("%s: winner lane %d", label, k))
+		if res.Samples != single.Samples || res.StoppedEarly != single.StoppedEarly || res.Rescued != single.Rescued ||
+			res.Quantized != single.Quantized || res.BitPacked != single.BitPacked || len(res.Trace) != len(single.Trace) {
+			t.Fatalf("%s: winner lane %d run shape %+v != r=1 solve %+v", label, k,
+				[]any{res.Samples, res.StoppedEarly, res.Rescued, res.Quantized, res.BitPacked, len(res.Trace)},
+				[]any{single.Samples, single.StoppedEarly, single.Rescued, single.Quantized, single.BitPacked, len(single.Trace)})
+		}
+		for i := range res.Trace {
+			if math.Float64bits(res.Trace[i]) != math.Float64bits(single.Trace[i]) {
+				t.Fatalf("%s: winner trace differs at sample %d", label, i)
+			}
 		}
 	}
-	if fs.BestReplica != us.BestReplica || fs.Launched != us.Launched ||
-		fs.Replicas != us.Replicas || fs.EarlyStops != us.EarlyStops ||
-		fs.BatchStopped != us.BatchStopped {
-		t.Fatalf("%s: fused batch stats (%d, %d/%d, early=%d, %v) != unfused (%d, %d/%d, early=%d, %v)",
-			label, fs.BestReplica, fs.Launched, fs.Replicas, fs.EarlyStops, fs.BatchStopped,
-			us.BestReplica, us.Launched, us.Replicas, us.EarlyStops, us.BatchStopped)
-	}
-	for r := range fs.Energies {
-		if fs.Energies[r] != us.Energies[r] || fs.Iterations[r] != us.Iterations[r] ||
-			fs.Stopped[r] != us.Stopped[r] || fs.EarlyStopped[r] != us.EarlyStopped[r] {
-			t.Fatalf("%s: replica %d stats diverge: fused (E=%g, it=%d, %v, early=%v), unfused (E=%g, it=%d, %v, early=%v)",
-				label, r, fs.Energies[r], fs.Iterations[r], fs.Stopped[r], fs.EarlyStopped[r],
-				us.Energies[r], us.Iterations[r], us.Stopped[r], us.EarlyStopped[r])
+	for k := 0; k < st.Launched; k++ {
+		if e, best := st.Energies[k], st.Energies[st.BestReplica]; e < best || e == best && k < st.BestReplica {
+			t.Fatalf("%s: BestReplica %d (E=%g) but replica %d has E=%g", label, st.BestReplica, best, k, e)
 		}
 	}
+	return res, st
 }
 
-// TestSolveFusedBitIdenticalToUnfused is the core determinism contract:
-// for equal Base.Seed the fused engine reproduces the unfused batch
-// bit for bit — winner, per-replica energies, iteration counts, stop
-// reasons — across variants, stop configurations, seeds, and both
-// coupler shapes.
+// TestSolveFusedBitIdenticalToUnfused is the core determinism contract
+// (named for the two engines it once compared): every lane of a batch
+// reproduces its r = 1 solve bit for bit — winner, per-replica energies,
+// iteration counts, stop reasons — across variants, stop configurations,
+// seeds and both coupler shapes, plain and with a steering OnSample hook
+// and trace recording on.
 func TestSolveFusedBitIdenticalToUnfused(t *testing.T) {
 	problems := map[string]*ising.Problem{
 		"dense":     randomProblem(17, 31),
@@ -88,27 +104,27 @@ func TestSolveFusedBitIdenticalToUnfused(t *testing.T) {
 		// A loose epsilon so some (not necessarily all) replicas retire
 		// early and the lane-compaction path is exercised.
 		"dynstop": {F: 5, S: 4, Epsilon: 1e-3},
+		// Looser, with a short burn-in: replicas retire at scattered
+		// iterations, so compaction moves running lanes mid-ramp.
+		"staggered": {F: 3, S: 4, Epsilon: 3e-1, MinIters: 10},
 	}
 	for pname, p := range problems {
 		for _, v := range []Variant{Ballistic, Adiabatic, Discrete} {
 			for sname, stop := range stops {
 				for _, seed := range []int64{1, 99} {
-					base := DefaultParamsFor(v)
-					base.Steps = 240
-					base.Seed = seed
-					base.Stop = stop
-					bp := BatchParams{Base: base, Replicas: 5}
-					label := fmt.Sprintf("%s/%v/%s/seed=%d", pname, v, sname, seed)
-
-					fr, fs := SolveFused(context.Background(), p, bp)
-					ubp := bp
-					ubp.Fused = FuseOff
-					ur, us := SolveBatch(context.Background(), p, ubp)
-					assertSameBatch(t, label, fr, fs, ur, us)
-
-					// And the auto dispatcher picks the same (fused) path.
-					ar, as := SolveBatch(context.Background(), p, bp)
-					assertSameBatch(t, label+"/auto", ar, as, ur, us)
+					for _, hooked := range []bool{false, true} {
+						base := DefaultParamsFor(v)
+						base.Steps = 240
+						base.Seed = seed
+						base.Stop = stop
+						base.SampleEvery = 15
+						if hooked {
+							base.OnSample = steerHook
+							base.RecordTrace = true
+						}
+						label := fmt.Sprintf("%s/%v/%s/seed=%d/hooked=%v", pname, v, sname, seed, hooked)
+						assertLanesMatchSingles(t, label, p, BatchParams{Base: base, Replicas: 5}, nil)
+					}
 				}
 			}
 		}
@@ -124,27 +140,16 @@ func TestSolveFusedLaneRetirement(t *testing.T) {
 	base.Steps = 2000
 	base.Stop = &StopCriteria{F: 4, S: 4, Epsilon: 1e-2}
 	bp := BatchParams{Base: base, Replicas: 6}
-	res, stats := SolveFused(context.Background(), p, bp)
+	res, stats := assertLanesMatchSingles(t, "retirement", p, bp, nil)
 	if stats.EarlyStops == 0 {
 		t.Fatal("no replica retired early despite a loose stop criterion")
-	}
-	for r := 0; r < stats.Replicas; r++ {
-		params := base
-		params.Seed = base.Seed + int64(r)
-		single := Solve(p, params)
-		if stats.Energies[r] != single.Energy || stats.Iterations[r] != single.Iterations ||
-			stats.EarlyStopped[r] != single.StoppedEarly {
-			t.Fatalf("replica %d (E=%g, it=%d, early=%v) != independent run (E=%g, it=%d, early=%v)",
-				r, stats.Energies[r], stats.Iterations[r], stats.EarlyStopped[r],
-				single.Energy, single.Iterations, single.StoppedEarly)
-		}
 	}
 	if got := p.Energy(res.Spins); got != res.Energy {
 		t.Fatalf("winner energy %g does not match spins (%g)", res.Energy, got)
 	}
 }
 
-// TestSolveFusedPreCancelled mirrors the SolveBatch dispatch contract: an
+// TestSolveFusedPreCancelled pins the SolveBatch launch contract: an
 // already-cancelled context launches exactly replica 0, which still
 // returns a valid best-so-far state.
 func TestSolveFusedPreCancelled(t *testing.T) {
@@ -154,7 +159,7 @@ func TestSolveFusedPreCancelled(t *testing.T) {
 	base.SampleEvery = 10
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, stats := SolveFused(ctx, p, BatchParams{Base: base, Replicas: 6})
+	res, stats := SolveBatch(ctx, p, BatchParams{Base: base, Replicas: 6})
 	if stats.Launched != 1 {
 		t.Fatalf("Launched = %d, want exactly replica 0", stats.Launched)
 	}
@@ -175,9 +180,9 @@ func TestSolveFusedPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSolveFusedCancelMidRun cancels a long fused batch from another
-// goroutine (run under -race in CI): every lane must retire promptly at
-// the shared poll cadence with the cancellation reason.
+// TestSolveFusedCancelMidRun cancels a long batch from another goroutine
+// (run under -race in CI): every lane must retire promptly at the shared
+// poll cadence with the cancellation reason.
 func TestSolveFusedCancelMidRun(t *testing.T) {
 	p := randomProblem(48, 44)
 	base := DefaultParams()
@@ -190,15 +195,15 @@ func TestSolveFusedCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, stats := SolveFused(ctx, p, BatchParams{Base: base, Replicas: 8})
+	res, stats := SolveBatch(ctx, p, BatchParams{Base: base, Replicas: 8})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancelled fused batch took %v to return", elapsed)
+		t.Fatalf("cancelled batch took %v to return", elapsed)
 	}
 	if stats.BatchStopped != metrics.StopCancelled {
 		t.Fatalf("BatchStopped = %v, want cancelled", stats.BatchStopped)
 	}
 	if stats.Launched != stats.Replicas {
-		t.Fatalf("fused batch launched %d of %d lanes", stats.Launched, stats.Replicas)
+		t.Fatalf("batch launched %d of %d lanes", stats.Launched, stats.Replicas)
 	}
 	// Lock-step lanes all observe the cancel at the same poll boundary.
 	for r, reason := range stats.Stopped {
@@ -217,22 +222,22 @@ func TestSolveFusedCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestSolveFusedStepAllocs pins the fused engine's allocation shape: the
-// per-call cost is the Stats slices only, so doubling the step budget
-// (and with it every per-step code path) must not change the allocation
-// count measured over a warm workspace.
+// TestSolveFusedStepAllocs pins the batch's allocation shape: over a warm
+// workspace the per-call cost is the Stats slices only, so doubling the
+// step budget (and with it every per-step code path) must not change the
+// allocation count.
 func TestSolveFusedStepAllocs(t *testing.T) {
 	p := randomProblem(24, 45)
 	for _, v := range []Variant{Ballistic, Adiabatic, Discrete} {
 		base := DefaultParamsFor(v)
 		base.Stop = &StopCriteria{F: 10, S: 5, Epsilon: 1e-300} // windows engaged, never fires
 		bp := BatchParams{Base: base, Replicas: 6}
-		fw := NewFusedWorkspace(p.N(), 6)
+		ws := new(Workspace)
 		measure := func(steps int) float64 {
 			bp.Base.Steps = steps
-			SolveFusedWith(context.Background(), p, bp, fw) // warm up
+			solveBatch(context.Background(), p, bp, ws) // warm up
 			return testing.AllocsPerRun(10, func() {
-				SolveFusedWith(context.Background(), p, bp, fw)
+				solveBatch(context.Background(), p, bp, ws)
 			})
 		}
 		short, long := measure(100), measure(200)
@@ -242,15 +247,14 @@ func TestSolveFusedStepAllocs(t *testing.T) {
 		// The constant is the Stats slices; anything larger means the
 		// engine grew a hidden per-call allocation.
 		if long > 6 {
-			t.Errorf("%v: %f allocations per fused call, want <= 6 (Stats slices only)", v, long)
+			t.Errorf("%v: %f allocations per batch call, want <= 6 (Stats slices only)", v, long)
 		}
 	}
 }
 
 // countingCoupler wraps a BatchCoupler and counts norm scans, scalar and
-// batched field calls; it lets the tests observe which engine ran, how
-// often the O(n²) norm scan was taken, and how many field products a
-// solve computed.
+// batched field calls; it lets the tests observe how often the O(n²)
+// norm scan was taken and how many field products a solve computed.
 type countingCoupler struct {
 	inner      ising.BatchCoupler
 	normScans  atomic.Int64
@@ -284,77 +288,34 @@ func countingProblem(n int, seed int64) (*ising.Problem, *countingCoupler) {
 }
 
 // TestSolveBatchNormScannedOncePerBatch is the autoC0 regression test:
-// with C0 == 0 a batch must resolve the coupling norm exactly once, on
-// both engines — not once per replica as the old per-replica autoC0 did.
+// with C0 == 0 a batch must resolve the coupling norm exactly once, not
+// once per replica.
 func TestSolveBatchNormScannedOncePerBatch(t *testing.T) {
 	base := DefaultParams()
 	base.Steps = 50
-	for _, mode := range []FuseMode{FuseOff, FuseOn} {
+	for _, replicas := range []int{1, 8} {
 		p, cc := countingProblem(10, 46)
-		bp := BatchParams{Base: base, Replicas: 8, Fused: mode}
-		SolveBatch(context.Background(), p, bp)
+		SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: replicas})
 		if got := cc.normScans.Load(); got != 1 {
-			t.Errorf("mode %d: %d norm scans for an 8-replica batch, want 1", mode, got)
+			t.Errorf("%d norm scans for a %d-replica batch, want 1", got, replicas)
 		}
 	}
-}
-
-// TestSolveBatchAutoDispatch pins the FuseAuto routing: an eligible
-// multi-replica batch runs batched field products; a batch with a
-// per-replica hook falls back to per-replica scalar Field calls.
-func TestSolveBatchAutoDispatch(t *testing.T) {
-	base := DefaultParams()
-	base.Steps = 50
-
-	p, cc := countingProblem(10, 47)
-	SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 4})
-	if cc.batchCalls.Load() == 0 {
-		t.Error("eligible batch did not auto-fuse (no batched field calls)")
-	}
-
-	p, cc = countingProblem(10, 47)
-	hooked := BatchParams{
-		Base:     base,
-		Replicas: 4,
-		MakeOnSample: func(int) func(int, []float64, []float64) {
-			return func(int, []float64, []float64) {}
-		},
-	}
-	SolveBatch(context.Background(), p, hooked)
-	if cc.batchCalls.Load() != 0 {
-		t.Error("batch with per-replica hooks must not fuse")
-	}
-}
-
-// TestSolveBatchFuseOnRejectsHooks: forcing fusion with per-replica
-// control flow is a programming error, reported loudly.
-func TestSolveBatchFuseOnRejectsHooks(t *testing.T) {
-	p := randomProblem(8, 48)
-	base := DefaultParams()
-	base.Steps = 50
-	base.RecordTrace = true
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FuseOn with RecordTrace did not panic")
-		}
-	}()
-	SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: 4, Fused: FuseOn})
 }
 
 // TestSolveFusedWorkspaceReuse runs batches of different shapes through
 // one workspace; results must match fresh-workspace runs exactly.
 func TestSolveFusedWorkspaceReuse(t *testing.T) {
-	fw := new(FusedWorkspace)
+	ws := new(Workspace)
 	base := DefaultParams()
 	base.Steps = 120
-	for _, shape := range []struct{ n, r int }{{8, 3}, {20, 6}, {6, 2}} {
+	for _, shape := range []struct{ n, r int }{{8, 3}, {20, 6}, {6, 2}, {12, 1}} {
 		p := randomProblem(shape.n, int64(shape.n))
 		bp := BatchParams{Base: base, Replicas: shape.r}
-		got, gs := SolveFusedWith(context.Background(), p, bp, fw)
-		want, ws := SolveFused(context.Background(), p, bp)
-		if got.Energy != want.Energy || gs.BestReplica != ws.BestReplica {
+		got, gs := solveBatch(context.Background(), p, bp, ws)
+		want, fs := SolveBatch(context.Background(), p, bp)
+		if got.Energy != want.Energy || gs.BestReplica != fs.BestReplica {
 			t.Fatalf("n=%d r=%d: reused workspace (E=%g, best=%d) != fresh (E=%g, best=%d)",
-				shape.n, shape.r, got.Energy, gs.BestReplica, want.Energy, ws.BestReplica)
+				shape.n, shape.r, got.Energy, gs.BestReplica, want.Energy, fs.BestReplica)
 		}
 		for i := range got.Spins {
 			if got.Spins[i] != want.Spins[i] {

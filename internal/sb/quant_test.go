@@ -81,10 +81,9 @@ func TestQuantExactRepresentableMatchesFloat(t *testing.T) {
 	assertSameTrajectory(t, exact, quant, "exact-representable dSB")
 }
 
-// TestQuantFusedMatchesFuseOff pins the engine bit-identity contract on
-// the quantized path, for dense and CSR couplers: the per-replica
-// goroutine engine (each worker quantizing independently) and the fused
-// lock-step engine must agree bitwise on every replica.
+// TestQuantFusedMatchesFuseOff pins the lane property on the quantized
+// path, for dense and CSR couplers: each lane of a quantized batch (one
+// sliced kernel call per step) equals its r = 1 quantized solve bitwise.
 func TestQuantFusedMatchesFuseOff(t *testing.T) {
 	const replicas = 4
 	for _, tc := range []struct {
@@ -95,17 +94,10 @@ func TestQuantFusedMatchesFuseOff(t *testing.T) {
 		{"csr", randomSparseProblem(48, 11, true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := quantParams()
-			resOff, statsOff := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOff,
-			})
-			resOn, statsOn := SolveBatch(context.Background(), tc.p, BatchParams{
-				Base: base, Replicas: replicas, Fused: FuseOn,
-			})
-			if !resOff.Quantized || !resOn.Quantized {
-				t.Fatalf("fast path not taken: FuseOff=%v FuseOn=%v", resOff.Quantized, resOn.Quantized)
+			res, _ := assertLanesMatchSingles(t, tc.name, tc.p, BatchParams{Base: quantParams(), Replicas: replicas}, nil)
+			if !res.Quantized {
+				t.Fatal("fast path not taken")
 			}
-			assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
 		})
 	}
 }
@@ -125,40 +117,39 @@ func TestQuantIgnoredOutsideDiscrete(t *testing.T) {
 }
 
 // TestQuantOverflowFallbackBothEngines: with the overflow failpoint
-// forcing Quantize to fail, both engines must degrade to the float path
-// bit-identically (Quantized false, same trajectory as a plain solve).
+// forcing Quantize to fail, a batch and each of its r = 1 solves must
+// degrade to the float path bit-identically (Quantized false, same
+// trajectory as a plain solve).
 func TestQuantOverflowFallbackBothEngines(t *testing.T) {
 	const replicas = 3
 	p := randomProblem(20, 9)
 	base := divergenceParams(Discrete)
-	exactOff, exactStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
-	})
+	exact, exactStats := SolveBatch(context.Background(), p, BatchParams{Base: base, Replicas: replicas})
 
 	defer fault.DisarmAll()
 	base.Quantize = true
-	fault.MustArm("ising.quant.overflow", fault.Scenario{Times: -1})
-	fbOff, fbOffStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
-	})
-	fault.MustArm("ising.quant.overflow", fault.Scenario{Times: -1})
-	fbOn, fbOnStats := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
+	fb, fbStats := assertLanesMatchSingles(t, "overflow fallback", p, BatchParams{Base: base, Replicas: replicas}, func() {
+		fault.MustArm("ising.quant.overflow", fault.Scenario{Times: -1})
 	})
 	fault.DisarmAll()
 
-	if fbOff.Quantized || fbOn.Quantized {
+	if fb.Quantized {
 		t.Fatal("Quantized reported after a forced quantization failure")
 	}
-	assertSameTrajectory(t, exactOff, fbOff, "FuseOff fallback")
-	assertBatchesIdentical(t, fbOff, fbOn, fbOffStats, fbOnStats)
-	assertBatchesIdentical(t, exactOff, fbOn, exactStats, fbOnStats)
+	assertSameTrajectory(t, exact, fb, "overflow fallback winner")
+	for r := range exactStats.Energies {
+		if math.Float64bits(exactStats.Energies[r]) != math.Float64bits(fbStats.Energies[r]) ||
+			exactStats.Iterations[r] != fbStats.Iterations[r] {
+			t.Fatalf("replica %d: fallback (E=%g, it=%d) != float batch (E=%g, it=%d)", r,
+				fbStats.Energies[r], fbStats.Iterations[r], exactStats.Energies[r], exactStats.Iterations[r])
+		}
+	}
 }
 
 // TestQuantDivergenceQuarantineBothEngines: the keyed sb.diverge fault on
-// one quantized replica must quarantine exactly that replica in both
-// engines, bit-identically — the divergence guards do not care which
-// field kernel produced the poisoned trajectory.
+// one quantized replica must quarantine exactly that replica, and its
+// lane must equal its r = 1 solve — the divergence guard does not care
+// which field kernel produced the poisoned trajectory.
 func TestQuantDivergenceQuarantineBothEngines(t *testing.T) {
 	const replicas = 4
 	const victim = 2
@@ -166,31 +157,22 @@ func TestQuantDivergenceQuarantineBothEngines(t *testing.T) {
 	base := quantParams()
 	key := base.Seed + int64(victim)
 
-	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
 	defer fault.DisarmAll()
-	resOff, statsOff := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOff,
+	res, st := assertLanesMatchSingles(t, "quant diverge", p, BatchParams{Base: base, Replicas: replicas}, func() {
+		fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
 	})
-	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, Times: -1})
-	resOn, statsOn := SolveBatch(context.Background(), p, BatchParams{
-		Base: base, Replicas: replicas, Fused: FuseOn,
-	})
-
-	for _, st := range []Stats{statsOff, statsOn} {
-		if !st.Diverged[victim] || st.Diverges != 1 {
-			t.Fatalf("Diverged = %v (count %d), want replica %d quarantined", st.Diverged, st.Diverges, victim)
-		}
-		if st.Stopped[victim] != metrics.StopDiverged {
-			t.Fatalf("diverged replica stop %v, want StopDiverged", st.Stopped[victim])
-		}
-		if st.BestReplica == victim {
-			t.Fatal("diverged replica won the batch")
-		}
+	if !st.Diverged[victim] || st.Diverges != 1 {
+		t.Fatalf("Diverged = %v (count %d), want replica %d quarantined", st.Diverged, st.Diverges, victim)
 	}
-	if !resOff.Quantized || !resOn.Quantized {
+	if st.Stopped[victim] != metrics.StopDiverged {
+		t.Fatalf("diverged replica stop %v, want StopDiverged", st.Stopped[victim])
+	}
+	if st.BestReplica == victim {
+		t.Fatal("diverged replica won the batch")
+	}
+	if !res.Quantized {
 		t.Fatal("fast path not taken under the keyed fault")
 	}
-	assertBatchesIdentical(t, resOff, resOn, statsOff, statsOn)
 }
 
 // TestQuantAccumPoisonDiverges: an always-firing accumulate fault poisons

@@ -21,33 +21,33 @@
 //   - Params.OnSample is a sample-point hook that may mutate (x, y) in
 //     place; the Theorem-3 heuristic (§3.3.2) plugs in here to reset the
 //     column-type spins to their conditional optimum.
+//
+// One engine runs every solve: it advances r replicas as lock-step lanes
+// of one n×r block and streams the coupling once per step for all of
+// them. SolveWith is its r = 1 call in a caller-owned Workspace;
+// SolveBatch is its r ≥ 1 call, returning the best replica.
 package sb
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"isinglut/internal/fault"
 	"isinglut/internal/ising"
 	"isinglut/internal/metrics"
 )
 
-// met is the package's instrumentation set; SolveWith updates it with a
-// handful of atomic adds per run (never per iteration), so the hot path
-// stays allocation-free and measurably unperturbed.
+// met is the package's instrumentation set; the engine updates it with a
+// handful of atomic adds per replica (never per iteration), so the hot
+// path stays allocation-free and measurably unperturbed.
 var met = metrics.ForSolver("sb")
 
-// Failpoints (no-ops unless a chaos test arms them): sb.step poisons the
-// scalar engine's local field mid-loop, modelling a NaN escaping the
-// dynamics; sb.diverge poisons the sampled energy, keyed by the run's
-// seed so the goroutine and fused engines diverge on the same replicas
-// regardless of scheduling order.
-var (
-	siteStep    = fault.NewSite("sb.step")
-	siteDiverge = fault.NewSite("sb.diverge")
-)
+// siteDiverge poisons a sampled energy when armed (a no-op otherwise),
+// keyed by the replica's seed so the same replicas diverge however many
+// lanes a run carries. A NaN escaping the field product itself is the
+// ising.field failpoint.
+var siteDiverge = fault.NewSite("sb.diverge")
 
 // isFinite reports v being neither NaN nor ±Inf: v-v is 0 for every
 // finite value and NaN otherwise.
@@ -136,10 +136,14 @@ type Params struct {
 	// a different cadence changes only how often the rounded solution is
 	// inspected, never the effective F (a regression test pins this).
 	SampleEvery int
-	// OnSample, when non-nil, is called at each sample point before energy
-	// evaluation and may mutate x and y in place (the Theorem-3 heuristic).
+	// OnSample, when non-nil, is called at each sample point — including
+	// a replica's final sample — before energy evaluation and may mutate x
+	// and y in place (the Theorem-3 heuristic). A batch calls it lane by
+	// lane with each replica's own x and y, from one goroutine, so a hook
+	// with scratch state serves every replica.
 	OnSample func(iter int, x, y []float64)
-	// RecordTrace, when true, stores each sampled energy in the result.
+	// RecordTrace, when true, stores each sampled energy in the result
+	// (for a batch, the winning replica's).
 	RecordTrace bool
 	// Quantize enables the fixed-point dSB fast path: the coupling is
 	// quantized once per solve (ising.Quantize) and the per-step field
@@ -240,7 +244,8 @@ type Result struct {
 	// a successful quantization); when false with Quantized true, the
 	// solve ran on the scalar quantized kernels instead.
 	BitPacked bool
-	// Trace holds the sampled energies when Params.RecordTrace is set.
+	// Trace holds the sampled energies when Params.RecordTrace is set. It
+	// is allocated per run, so unlike Spins it outlives the workspace.
 	Trace []float64
 }
 
@@ -261,9 +266,10 @@ func SolveContext(ctx context.Context, p *ising.Problem, params Params) Result {
 }
 
 // SolveWith is Solve running entirely inside the caller-owned workspace:
-// after the workspace has warmed up to the problem size it performs zero
-// heap allocations per run (pinned by the allocation-regression test),
-// except that Params.RecordTrace grows the per-run trace slice and a
+// the engine's single-replica run, one lane of width n. After the
+// workspace has warmed up to the problem size it performs zero heap
+// allocations per run (pinned by the allocation-regression test), except
+// that Params.RecordTrace grows the per-run trace slice and a
 // caller-supplied OnSample hook may of course allocate on its own.
 //
 // The context is polled at the sampling cadence (SampleEvery, falling
@@ -278,270 +284,7 @@ func SolveContext(ctx context.Context, p *ising.Problem, params Params) Result {
 // bit-identical to Solve for equal parameters and seed, regardless of the
 // context plumbing.
 func SolveWith(ctx context.Context, p *ising.Problem, params Params, ws *Workspace) Result {
-	start := time.Now()
-	n := p.N()
-	if params.Steps <= 0 {
-		panic("sb: Steps must be positive")
-	}
-	if params.Dt <= 0 {
-		panic("sb: Dt must be positive")
-	}
-	a0 := params.A0
-	if a0 <= 0 {
-		a0 = 1
-	}
-	c0 := params.C0
-	if c0 == 0 {
-		c0 = autoC0(p)
-	}
-	sampleEvery := params.SampleEvery
-	if sampleEvery <= 0 {
-		if params.Stop != nil {
-			sampleEvery = params.Stop.F
-		} else {
-			sampleEvery = 0 // no mid-run sampling
-		}
-	}
-	stopF := 0
-	minIters := 0
-	if params.Stop != nil {
-		if params.Stop.F <= 0 || params.Stop.S <= 1 {
-			panic("sb: StopCriteria needs F >= 1 and S >= 2")
-		}
-		stopF = params.Stop.F
-		minIters = params.Stop.MinIters
-		if minIters <= 0 {
-			minIters = params.Steps / 2
-		}
-	}
-	// ctxEvery is the context poll cadence. A nil Done channel
-	// (context.Background, context.TODO) disables polling entirely, so
-	// uncancellable runs pay nothing.
-	ctxEvery := 0
-	if ctx.Done() != nil {
-		switch {
-		case sampleEvery > 0:
-			ctxEvery = sampleEvery
-		case stopF > 0:
-			ctxEvery = stopF
-		default:
-			ctxEvery = 64
-		}
-	}
-
-	// Quantize once per solve: the O(n²) pass is ~0.1% of a typical solve
-	// and buys integer accumulation for every one of the Steps field
-	// products. A nil quant (flag off, non-dSB variant, or unquantizable
-	// coupling) is the float64 path.
-	var quant *ising.Quantized
-	if (params.Quantize || params.BitPack) && params.Variant == Discrete {
-		quant, _ = ising.Quantize(p.Coup)
-	}
-	// BitPack re-packs the codes into popcount bit-planes; a nil planes
-	// (flag off, heuristic rejection, or failed quantization) stays on
-	// the scalar quantized kernels — bit-identically either way.
-	var planes *ising.Planes
-	if params.BitPack && quant != nil {
-		planes, _ = ising.NewPlanes(quant)
-	}
-
-	ws.ensure(n)
-	ws.window.reset(windowSize(params))
-	ws.rng.Seed(params.Seed)
-	x, y, field, signs := ws.x, ws.y, ws.field, ws.signs
-	for i := range y {
-		y[i] = (ws.rng.Float64()*2 - 1) * params.InitAmplitude
-		x[i] = (ws.rng.Float64()*2 - 1) * params.InitAmplitude * 0.01
-	}
-
-	res := Result{Quantized: quant != nil, BitPacked: planes != nil}
-	bestE := math.Inf(1)
-	lastSampled := -1
-	diverged := false
-	// The divergence guard's position scan applies only to the
-	// wall-clamped variants, whose positions live in [-1, 1] by
-	// construction — there a non-finite entry proves a corrupted state.
-	// Adiabatic positions are unbounded and overflow transiently on driven
-	// problems while the rounded spins stay meaningful, so aSB divergence
-	// is detected through the sampled energy alone.
-	scanX := params.Variant != Adiabatic
-
-	// sample inspects the rounded solution at iteration iter: run the
-	// OnSample hook, track the best rounded state, record the trace. The
-	// divergence guard lives here: a non-finite sampled energy or any
-	// non-finite position raises the diverged flag instead of corrupting
-	// the best-so-far state.
-	sample := func(iter int) {
-		if params.OnSample != nil {
-			params.OnSample(iter, x, y)
-		}
-		ising.SignsInto(x, ws.spins)
-		e := p.EnergySpinsInto(ws.spins, ws.xspin, ws.field)
-		res.Samples++
-		if params.RecordTrace {
-			res.Trace = append(res.Trace, e)
-		}
-		if siteDiverge.FireKey(params.Seed) {
-			e = math.NaN()
-		}
-		lastSampled = iter
-		if !isFinite(e) || (scanX && !allFinite(x)) {
-			diverged = true
-			return
-		}
-		if e < bestE {
-			bestE = e
-			copy(ws.best, ws.spins)
-		}
-	}
-
-	// stopCheck pushes the §3.3.1 window at the Stop.F cadence — always at
-	// Stop.F, independent of SampleEvery, so tuning the sampling rate can
-	// never silently change the criterion's effective F. The window
-	// monitors the continuous oscillator-network energy, not the rounded
-	// spin energy: the rounded energy plateaus for long stretches while
-	// the positions still move toward a better basin, so testing it would
-	// stop too early.
-	//
-	// The check leaves J·x in ws.field, and x does not move before the
-	// next step's field product, so bSB and aSB take it as that product
-	// (fieldFresh) instead of recomputing it. dSB needs J·sign(x) instead.
-	fieldFresh := false
-	stopCheck := func(iter int) bool {
-		ws.window.push(p.EnergyContinuousInto(x, ws.field))
-		fieldFresh = params.Variant != Discrete
-		return iter >= minIters && ws.window.full() && ws.window.variance() < params.Stop.Epsilon
-	}
-
-	dt := params.Dt
-	steps := params.Steps
-	iter := 0
-	for ; iter < steps; iter++ {
-		at := a0 * float64(iter) / float64(steps) // linear pump ramp 0 -> a0
-
-		// Local field: J*x (+ h). dSB uses sign(x) in the product; the
-		// quantized fast path (dSB-only) consumes the same materialized
-		// sign buffer, so both paths see identical spins — including for
-		// poisoned NaN positions, where v >= 0 resolves to -1.
-		src := x
-		if params.Variant == Discrete {
-			for i, v := range x {
-				if v >= 0 {
-					signs[i] = 1
-				} else {
-					signs[i] = -1
-				}
-			}
-			src = signs
-		}
-		switch {
-		case fieldFresh:
-			fieldFresh = false // field already holds J·x from the stop check
-		case planes != nil:
-			planes.FieldSigns(signs, field)
-		case quant != nil:
-			quant.FieldSigns(signs, field)
-		default:
-			p.Coup.Field(src, field)
-		}
-		if siteStep.Fire() {
-			field[0] = math.NaN()
-		}
-		if p.H != nil {
-			for i, h := range p.H {
-				field[i] += h
-			}
-		}
-
-		switch params.Variant {
-		case Adiabatic:
-			for i := 0; i < n; i++ {
-				y[i] += dt * (-(x[i]*x[i]+a0-at)*x[i] + c0*field[i])
-				x[i] += dt * a0 * y[i]
-			}
-		default: // Ballistic and Discrete share the wall dynamics
-			for i := 0; i < n; i++ {
-				y[i] += dt * (-(a0-at)*x[i] + c0*field[i])
-				x[i] += dt * a0 * y[i]
-				if x[i] > 1 {
-					x[i] = 1
-					y[i] = 0
-				} else if x[i] < -1 {
-					x[i] = -1
-					y[i] = 0
-				}
-			}
-		}
-
-		it := iter + 1
-		if sampleEvery > 0 && it%sampleEvery == 0 {
-			sample(it)
-			if diverged {
-				if params.RescueDiverged && !res.Rescued {
-					// One-shot rescue: re-seed the trajectory from the same
-					// seed with the time step halved, reset the §3.3.1
-					// window, and keep iterating. Any best-so-far state from
-					// before the divergence stays valid (it was finite).
-					diverged = false
-					res.Rescued = true
-					met.Rescues.Inc()
-					dt *= 0.5
-					ws.rng.Seed(params.Seed)
-					for i := range y {
-						y[i] = (ws.rng.Float64()*2 - 1) * params.InitAmplitude
-						x[i] = (ws.rng.Float64()*2 - 1) * params.InitAmplitude * 0.01
-					}
-					ws.window.reset(windowSize(params))
-				} else {
-					iter++
-					break
-				}
-			}
-		}
-		if stopF > 0 && it%stopF == 0 && stopCheck(it) {
-			iter++
-			res.Stopped = metrics.StopConverged
-			res.StoppedEarly = true
-			break
-		}
-		if ctxEvery > 0 && it%ctxEvery == 0 && ctx.Err() != nil {
-			iter++
-			res.Stopped = metrics.ReasonFromContext(ctx)
-			break
-		}
-	}
-
-	// Final evaluation (covers runs with no mid-run sampling, termination
-	// between sample points, and a stop fired off the sampling cadence).
-	if lastSampled != iter {
-		sample(iter)
-	}
-	if diverged {
-		// Quarantine: +Inf energy keeps the run out of every minimum scan
-		// (a diverged replica can never be a batch winner); when no finite
-		// sample was ever recorded the best buffer falls back to the last
-		// rounded state, so Spins is always valid ±1, never stale garbage.
-		res.Stopped = metrics.StopDiverged
-		res.StoppedEarly = false
-		res.Diverged = true
-		if math.IsInf(bestE, 1) {
-			copy(ws.best, ws.spins)
-		}
-		bestE = math.Inf(1)
-	}
-	if res.Stopped == metrics.StopNone {
-		res.Stopped = metrics.StopMaxIters
-	}
-
-	res.Spins = ws.best
-	res.Energy = bestE
-	res.Objective = bestE + p.Offset
-	res.Iterations = iter
-
-	met.ObserveRun(time.Since(start), res.Stopped)
-	met.Iterations.Add(int64(res.Iterations))
-	met.Samples.Add(int64(res.Samples))
-	met.ObserveEnergy(res.Energy)
+	res, _, _ := ws.run(ctx, p, params, 1)
 	return res
 }
 

@@ -2,59 +2,93 @@ package sb
 
 import (
 	"math/rand"
+
+	"isinglut/internal/metrics"
 )
 
-// Workspace owns every buffer an SB run needs: oscillator positions and
-// momenta, the local-field product, the dSB sign scratch, the rounded-spin
-// and energy-evaluation scratch, the best-so-far state, the dynamic-stop
-// ring buffer, and the reseedable RNG for initial conditions.
+// Workspace owns every buffer the lane engine needs. Lane state
+// (positions, momenta, dSB signs, field products, rounded spins and
+// their float view) is stored as n×r column-major blocks — lane l
+// occupies [l*n:(l+1)*n] — so a whole block feeds ising.FieldBatch
+// directly and any single lane is a valid scalar vector. Best-so-far
+// spins and the per-replica outcomes are indexed by replica, not lane:
+// lanes are compacted as replicas retire, replicas are not.
 //
 // A warm workspace makes SolveWith allocation-free, which matters because
-// the DALTA harness performs thousands of core-COP solves per run and the
-// batch solver runs many replicas per solve; the allocation-regression
-// test pins the zero-allocs property. A Workspace is NOT safe for
-// concurrent use — give each goroutine its own (SolveBatch does exactly
-// that, one per worker, reused across that worker's replicas).
+// the DALTA harness performs thousands of core-COP solves per run; the
+// allocation-regression tests pin the zero-allocs property. A Workspace
+// is NOT safe for concurrent use — give each goroutine its own.
 type Workspace struct {
-	x, y   []float64
-	field  []float64
-	signs  []float64 // dSB sign view of x
-	xspin  []float64 // float64 view of the rounded spins for energy evaluation
-	spins  []int8    // rounded spins at the current sample point
-	best   []int8    // best rounded spins seen this run
-	window energyWindow
-	rng    *rand.Rand
+	x, y  []float64 // oscillator lanes
+	sgn   []float64 // dSB sign lanes, sign(x)
+	xs    []float64 // float64 view of the rounded spins for energy evaluation
+	fld   []float64 // field-product lanes
+	spins []int8    // rounded spins at the current sample point
+	best  []int8    // best rounded spins, replica-indexed
+
+	reps  []replicaState // replica-indexed
+	lanes []laneState    // lane-indexed, compacted with the lanes
+	rng   *rand.Rand
 }
 
-// NewWorkspace returns a workspace pre-sized for n-spin problems. The
-// workspace grows on demand, so sizing is an optimization, not a contract:
-// any Workspace (including the zero value via new(Workspace)) works for
-// any problem size.
+// replicaState is one replica's running outcome.
+type replicaState struct {
+	bestE       float64
+	iters       int
+	samples     int
+	lastSampled int
+	stopped     metrics.StopReason
+	early       bool
+	diverged    bool
+	rescued     bool
+	trace       []float64
+}
+
+// laneState is the per-lane control state that moves with a lane when
+// the batch is compacted.
+type laneState struct {
+	replica int
+	dt      float64 // damped by a divergence rescue
+	window  energyWindow
+}
+
+// NewWorkspace returns a workspace pre-sized for single-replica n-spin
+// problems. The workspace grows on demand, so sizing is an optimization,
+// not a contract: any Workspace (including the zero value via
+// new(Workspace)) works for any problem size and replica count.
 func NewWorkspace(n int) *Workspace {
 	ws := &Workspace{}
-	ws.ensure(n)
+	ws.ensure(n, 1)
 	return ws
 }
 
-// ensure sizes every buffer for an n-spin run, reusing existing capacity.
-func (ws *Workspace) ensure(n int) {
+// ensure sizes every buffer for an n-spin, r-replica run, reusing
+// existing capacity.
+func (ws *Workspace) ensure(n, r int) {
 	if ws.rng == nil {
 		ws.rng = rand.New(rand.NewSource(0))
 	}
-	if cap(ws.x) < n {
-		ws.x = make([]float64, n)
-		ws.y = make([]float64, n)
-		ws.field = make([]float64, n)
-		ws.signs = make([]float64, n)
-		ws.xspin = make([]float64, n)
-		ws.spins = make([]int8, n)
-		ws.best = make([]int8, n)
+	nr := n * r
+	if cap(ws.x) < nr {
+		ws.x = make([]float64, nr)
+		ws.y = make([]float64, nr)
+		ws.sgn = make([]float64, nr)
+		ws.xs = make([]float64, nr)
+		ws.fld = make([]float64, nr)
+		ws.spins = make([]int8, nr)
+		ws.best = make([]int8, nr)
 	}
-	ws.x = ws.x[:n]
-	ws.y = ws.y[:n]
-	ws.field = ws.field[:n]
-	ws.signs = ws.signs[:n]
-	ws.xspin = ws.xspin[:n]
-	ws.spins = ws.spins[:n]
-	ws.best = ws.best[:n]
+	ws.x = ws.x[:nr]
+	ws.y = ws.y[:nr]
+	ws.sgn = ws.sgn[:nr]
+	ws.xs = ws.xs[:nr]
+	ws.fld = ws.fld[:nr]
+	ws.spins = ws.spins[:nr]
+	ws.best = ws.best[:nr]
+	if cap(ws.reps) < r {
+		ws.reps = make([]replicaState, r)
+		ws.lanes = make([]laneState, r)
+	}
+	ws.reps = ws.reps[:r]
+	ws.lanes = ws.lanes[:r]
 }

@@ -101,26 +101,22 @@ type SolveRequest struct {
 	Dt       float64 `json:"dt,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
 	Replicas int     `json:"replicas,omitempty"`
-	Workers  int     `json:"workers,omitempty"`
-	// Fused forces the fused replica engine (one coupling stream per step
-	// for the whole batch). Multi-replica solves fuse automatically; the
-	// result is bit-identical either way, so the flag only pins the
-	// engine — it does not change the answer (and is therefore excluded
-	// from the cache key, like Workers).
-	Fused       bool    `json:"fused,omitempty"`
+	// Workers bounds the concurrent sub-solves of a sharded solve; it
+	// does not change the answer and is excluded from the cache key.
+	Workers     int     `json:"workers,omitempty"`
 	DynamicStop bool    `json:"dynamic_stop,omitempty"`
 	F           int     `json:"f,omitempty"`
 	S           int     `json:"s,omitempty"`
 	Epsilon     float64 `json:"epsilon,omitempty"`
 	// Rescue enables the solver's one-shot divergence rescue: a replica
 	// whose dynamics overflow is re-seeded once with a halved step
-	// instead of being quarantined. Unlike Fused/Workers it can change
+	// instead of being quarantined. Unlike Workers it can change
 	// the answer (a rescued trajectory differs), so it is part of the
 	// cache key.
 	Rescue bool `json:"rescue,omitempty"`
 	// Sparse routes the solve through the CSR sparse coupler when the
 	// instance is sparse enough for it to win. Results are bit-identical
-	// to the dense path, so like Fused the flag is cache-key-neutral: both
+	// to the dense path, so like Workers the flag is cache-key-neutral: both
 	// request forms share one cache slot.
 	Sparse bool `json:"sparse,omitempty"`
 	// Quant enables the int8/int16 fixed-point dSB fast path (requires
@@ -388,13 +384,13 @@ func (r *SolveRequest) solveKey() string {
 	for _, b := range r.Biases {
 		writeU64(h, math.Float64bits(b))
 	}
-	// Fused and Sparse are deliberately not hashed: the fused engine and
-	// the CSR coupler both return bit-identical results for equal seeds,
-	// so all request forms share one cache slot (Workers and TimeoutMS are
-	// excluded for the same reason). Quant is excluded too, but for the
-	// opposite reason: quantized results are never cached (handleSolve
-	// refuses to Put them), so hashing the flag would only split the slot
-	// that lets a quant request ride an already-cached exact result.
+	// Sparse is deliberately not hashed: the CSR coupler returns
+	// bit-identical results for equal seeds, so both request forms share
+	// one cache slot (Workers and TimeoutMS are excluded for the same
+	// reason). Quant is excluded too, but for the opposite reason:
+	// quantized results are never cached (handleSolve refuses to Put
+	// them), so hashing the flag would only split the slot that lets a
+	// quant request ride an already-cached exact result.
 	// BitPack inherits Quant's treatment wholesale: bit-packed results
 	// are quantized results (never cached), and the flag stays out of the
 	// key so a bitpack request rides exact entries too.
@@ -403,7 +399,7 @@ func (r *SolveRequest) solveKey() string {
 	writeU64(h, math.Float64bits(r.Dt))
 	writeU64(h, uint64(r.Seed))
 	writeU64(h, uint64(r.Replicas))
-	// Rescue IS hashed, unlike Fused: a rescued trajectory legitimately
+	// Rescue IS hashed, unlike Sparse: a rescued trajectory legitimately
 	// differs from a quarantined one, so the two request forms must not
 	// share a cache slot.
 	if r.Rescue {

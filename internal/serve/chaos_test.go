@@ -14,7 +14,6 @@ import (
 	"isinglut/internal/ilp"
 	"isinglut/internal/ising"
 	"isinglut/internal/metrics"
-	"isinglut/internal/sb"
 )
 
 // chaosProblem builds a small internal ising.Problem for the solver-layer
@@ -57,9 +56,9 @@ func TestChaosEverySiteFires(t *testing.T) {
 	defer fault.DisarmAll()
 	_, ts := testServer(t, Config{Workers: 2, Retries: -1})
 
-	// sb.step: poison the scalar field kernel — the run must quarantine,
-	// not return a garbage finite winner.
-	fault.MustArm("sb.step", fault.Scenario{After: 2, Times: 1})
+	// ising.field: poison one step's field product in a single-replica
+	// solve — the run must quarantine, not return a garbage finite winner.
+	fault.MustArm("ising.field", fault.Scenario{After: 2, Times: 1})
 	prob := isinglut.NewIsingProblem(8)
 	for i := 0; i < 8; i++ {
 		prob.SetCoupling(i, (i+1)%8, -1)
@@ -69,7 +68,7 @@ func TestChaosEverySiteFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Diverged || !math.IsInf(res.Energy, 1) {
-		t.Fatalf("sb.step poison not quarantined: %+v", res)
+		t.Fatalf("ising.field poison not quarantined: %+v", res)
 	}
 
 	// sb.diverge: NaN injected at a sample point of the keyed trajectory.
@@ -179,37 +178,15 @@ func TestChaosEverySiteFires(t *testing.T) {
 	}
 	fault.DisarmAll()
 
-	// sb.batch.worker: a panicking replica worker (goroutine engine only —
-	// the fused engine has no per-replica workers) becomes a failed
-	// replica; the batch still returns a finite winner.
-	fault.MustArm("sb.batch.worker", fault.Scenario{Times: 1})
-	params := sb.DefaultParams()
-	params.Steps = 100
-	bres, bstats := sb.SolveBatch(context.Background(), chaosProblem(8), sb.BatchParams{
-		Base: params, Replicas: 4, Fused: sb.FuseOff,
-	})
-	failed := 0
-	for _, reason := range bstats.Stopped {
-		if reason == metrics.StopFailed {
-			failed++
-		}
-	}
-	if failed != 1 {
-		t.Fatalf("batch worker panic produced %d failed replicas, want 1", failed)
-	}
-	if math.IsInf(bres.Energy, 1) {
-		t.Fatal("batch with one panicked worker lost its finite winner")
-	}
-
-	// ising.field: one poisoned fused-batch field evaluation diverges one
+	// ising.field again: one poisoned batch field evaluation diverges one
 	// replica; the served solve still answers 200 off a finite survivor.
 	fault.MustArm("ising.field", fault.Scenario{Times: 1})
 	resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		N: 8, Steps: 100, Seed: 1, Replicas: 2, Fused: true,
+		N: 8, Steps: 100, Seed: 1, Replicas: 2,
 		Couplings: ringCouplings(8),
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fused solve with one poisoned replica: status %d", resp.StatusCode)
+		t.Fatalf("batch solve with one poisoned replica: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	fault.DisarmAll()

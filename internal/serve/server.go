@@ -848,7 +848,6 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	opts.Seed = req.Seed
 	opts.Replicas = req.Replicas
 	opts.Workers = req.Workers
-	opts.Fused = req.Fused
 	opts.DynamicStop = req.DynamicStop
 	opts.F, opts.S, opts.Epsilon = req.F, req.S, req.Epsilon
 	opts.Rescue = req.Rescue

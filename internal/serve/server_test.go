@@ -434,35 +434,6 @@ func ringCouplings(n int) []Coupling {
 	return cs
 }
 
-// TestSolveFusedSharesCacheSlot: the fused and unfused engines return
-// bit-identical results, so "fused": true is deliberately excluded from
-// the cache key — the second request (different engine, same problem)
-// must be a cache hit with the same answer.
-func TestSolveFusedSharesCacheSlot(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	base := SolveRequest{
-		N:         6,
-		Couplings: []Coupling{{I: 0, J: 1, V: -1}, {I: 1, J: 2, V: 1}, {I: 3, J: 4, V: -0.5}, {I: 4, J: 5, V: 1}},
-		Steps:     300, Seed: 5, Replicas: 3,
-	}
-	fusedReq := base
-	fusedReq.Fused = true
-	first := decodeBody[SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", fusedReq))
-	if first.Cached {
-		t.Fatal("first fused request reported cached")
-	}
-	second := decodeBody[SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", base))
-	if !second.Cached {
-		t.Fatal("unfused request missed the cache slot its fused twin filled")
-	}
-	if second.Energy != first.Energy {
-		t.Fatalf("cached energy %g != fused energy %g", second.Energy, first.Energy)
-	}
-	if len(first.Spins) != base.N {
-		t.Fatalf("fused solve returned %d spins, want %d", len(first.Spins), base.N)
-	}
-}
-
 // TestSolveSparseSharesCacheSlot: the CSR coupler is bit-identical to the
 // dense one, so "sparse": true is excluded from the cache key — a sparse
 // request fills the slot its plain twin reads.

@@ -21,27 +21,40 @@ func TestSolveRequestValidation(t *testing.T) {
 		name    string
 		mutate  func(*SolveRequest)
 		mention string
+		raw     string // when set, posted verbatim instead of the mutated base
 	}{
-		{"negative timeout", func(r *SolveRequest) { r.TimeoutMS = -1 }, "timeout_ms"},
-		{"negative steps", func(r *SolveRequest) { r.Steps = -5 }, "steps"},
-		{"steps over limit", func(r *SolveRequest) { r.Steps = 1001 }, "limit"},
-		{"negative dt", func(r *SolveRequest) { r.Dt = -0.1 }, "dt"},
-		{"negative replicas", func(r *SolveRequest) { r.Replicas = -1 }, "replicas"},
-		{"replicas over limit", func(r *SolveRequest) { r.Replicas = 9 }, "limit"},
-		{"negative workers", func(r *SolveRequest) { r.Workers = -1 }, "workers"},
-		{"negative stop window", func(r *SolveRequest) { r.DynamicStop = true; r.S = -1 }, "s must be"},
-		{"negative epsilon", func(r *SolveRequest) { r.DynamicStop = true; r.Epsilon = -1 }, "epsilon"},
+		{"negative timeout", func(r *SolveRequest) { r.TimeoutMS = -1 }, "timeout_ms", ""},
+		{"negative steps", func(r *SolveRequest) { r.Steps = -5 }, "steps", ""},
+		{"steps over limit", func(r *SolveRequest) { r.Steps = 1001 }, "limit", ""},
+		{"negative dt", func(r *SolveRequest) { r.Dt = -0.1 }, "dt", ""},
+		{"negative replicas", func(r *SolveRequest) { r.Replicas = -1 }, "replicas", ""},
+		{"replicas over limit", func(r *SolveRequest) { r.Replicas = 9 }, "limit", ""},
+		{"negative workers", func(r *SolveRequest) { r.Workers = -1 }, "workers", ""},
+		{"negative stop window", func(r *SolveRequest) { r.DynamicStop = true; r.S = -1 }, "s must be", ""},
+		{"negative epsilon", func(r *SolveRequest) { r.DynamicStop = true; r.Epsilon = -1 }, "epsilon", ""},
 		{"out-of-range coupling index", func(r *SolveRequest) {
 			r.Couplings = []Coupling{{I: 0, J: 9, V: 1}}
-		}, "out of range"},
-		{"bias length mismatch", func(r *SolveRequest) { r.Biases = []float64{1} }, "biases"},
-		{"bitpack without dsb", func(r *SolveRequest) { r.BitPack = true }, "bitpack"},
+		}, "out of range", ""},
+		{"bias length mismatch", func(r *SolveRequest) { r.Biases = []float64{1} }, "biases", ""},
+		{"bitpack without dsb", func(r *SolveRequest) { r.BitPack = true }, "bitpack", ""},
+		// "fused" is not a request field: the strict decoder refuses it
+		// like any other unknown field.
+		{"fused field", nil, "fused", `{"n":4,"steps":10,"couplings":[{"i":0,"j":1,"v":1}],"fused":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req := base()
-			tc.mutate(&req)
-			resp := postJSON(t, ts.URL+"/v1/solve", req)
+			var resp *http.Response
+			if tc.raw != "" {
+				var err error
+				resp, err = http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				req := base()
+				tc.mutate(&req)
+				resp = postJSON(t, ts.URL+"/v1/solve", req)
+			}
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400", resp.StatusCode)
 			}

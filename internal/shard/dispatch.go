@@ -6,7 +6,6 @@ import (
 
 	"isinglut/internal/fault"
 	"isinglut/internal/ising"
-	"isinglut/internal/metrics"
 	"isinglut/internal/sb"
 )
 
@@ -79,8 +78,8 @@ type BatchDispatcher interface {
 
 // LocalDispatcher solves subproblems on the in-process batch engine. The
 // zero value works: Base falls back to the sb defaults and Replicas to 1.
-// Workers is pinned to 1 inside — shard-level parallelism lives in the
-// exchange loop, so nesting replica parallelism would oversubscribe.
+// Shard-level parallelism lives in the exchange loop; each sub-solve's
+// replicas run as lanes of one goroutine.
 type LocalDispatcher struct {
 	Base     sb.Params
 	Replicas int
@@ -105,12 +104,8 @@ func (d *LocalDispatcher) Solve(ctx context.Context, sub SubProblem) (SubResult,
 	if replicas < 1 {
 		replicas = 1
 	}
-	res, _ := sb.SolveBatch(ctx, prob, sb.BatchParams{
-		Base:     params,
-		Replicas: replicas,
-		Workers:  1,
-	})
-	if res.Diverged || res.Stopped == metrics.StopFailed {
+	res, _ := sb.SolveBatch(ctx, prob, sb.BatchParams{Base: params, Replicas: replicas})
+	if res.Diverged {
 		return SubResult{}, fmt.Errorf("shard %d sub-solve %s: no finite-energy result", sub.Index, res.Stopped)
 	}
 	// res.Spins may alias batch workspace memory; copy before returning.

@@ -38,7 +38,7 @@ var met = metrics.ForSolver("shard")
 // Defaults for the zero Config fields.
 const (
 	// DefaultMaxShard is the subproblem size cap: large enough that the
-	// fused batch engine runs at full efficiency, small enough that a
+	// SB lane engine runs at full efficiency, small enough that a
 	// sub-solve stays interactive.
 	DefaultMaxShard = 256
 	// DefaultRounds bounds the exchange rounds; both decomposition papers

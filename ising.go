@@ -144,23 +144,19 @@ type SBOptions struct {
 	DynamicStop bool
 	F, S        int
 	Epsilon     float64
-	// Trace records the sampled energies in the result.
+	// Trace records the sampled energies in the result (for a batch, the
+	// winning replica's).
 	Trace bool
 	// Replicas > 1 runs that many independent trajectories (seeds
 	// Seed, Seed+1, ...) and keeps the best — the software counterpart of
-	// SB hardware's parallel replica execution. Workers bounds their
-	// concurrency (0 = GOMAXPROCS); results are deterministic for a fixed
-	// seed regardless of Workers.
+	// SB hardware's parallel replica execution. The replicas advance in
+	// lock-step as lanes of one engine, so each Euler step streams the
+	// coupling once for the whole batch.
 	Replicas int
-	Workers  int
-	// Fused forces the fused replica engine: all replicas advance in
-	// lock-step so each Euler step streams the coupling matrix once for
-	// the whole batch instead of once per replica. Multi-replica solves
-	// without Trace already use the fused engine automatically; the flag
-	// exists to pin the engine explicitly (e.g. for benchmarking) and is
-	// rejected with an error when combined with Trace, which needs
-	// per-replica control flow. Results are bit-identical either way.
-	Fused bool
+	// Workers bounds the concurrent sub-solves of a sharded solve
+	// (MaxShard > 0; 0 = GOMAXPROCS). Results are deterministic for a
+	// fixed seed regardless of Workers.
+	Workers int
 	// Rescue enables the one-shot divergence rescue: a trajectory whose
 	// dynamics overflow the finite range is re-seeded once from its own
 	// seed with a halved time step instead of being quarantined with
@@ -201,8 +197,7 @@ type SBOptions struct {
 	// solved on the batch engine with its boundary spins clamped to the
 	// current global state, and exchange rounds iterate until the global
 	// energy stabilizes. This is the path for instances one SB solve
-	// cannot hold; Trace is not supported through it and Fused is
-	// meaningless (the shard layer drives the batch engine itself).
+	// cannot hold; Trace is not supported through it.
 	MaxShard int
 	// ShardRounds bounds the exchange rounds of a sharded solve
 	// (default 12). Only meaningful with MaxShard > 0.
@@ -225,7 +220,7 @@ type IsingResult struct {
 	Replicas   int
 	EarlyStops int
 	// StopReason states how the run ended: "converged", "max-iters",
-	// "cancelled", "deadline", "diverged" or "failed". Interrupted runs
+	// "cancelled", "deadline" or "diverged". Interrupted runs
 	// ("cancelled"/"deadline") still return the best state found before
 	// the interruption.
 	StopReason string
@@ -303,9 +298,6 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 			params.SampleEvery = 10
 		}
 	}
-	if opts.Fused && opts.Trace {
-		return IsingResult{}, fmt.Errorf("isinglut: Fused and Trace are mutually exclusive (trace recording needs per-replica control flow)")
-	}
 	if opts.Quantize && opts.Variant != DiscreteSB {
 		return IsingResult{}, fmt.Errorf("isinglut: Quantize requires the DiscreteSB variant (got %s)", opts.Variant)
 	}
@@ -327,21 +319,8 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 	divergedReplicas := 0
 	var res sb.Result
 	stopReason := ""
-	if opts.Replicas > 1 || opts.Fused {
-		nrep := opts.Replicas
-		if nrep < 1 {
-			nrep = 1
-		}
-		fuse := sb.FuseAuto
-		if opts.Fused {
-			fuse = sb.FuseOn
-		}
-		batch, stats := sb.SolveBatch(ctx, prob, sb.BatchParams{
-			Base:     params,
-			Replicas: nrep,
-			Workers:  opts.Workers,
-			Fused:    fuse,
-		})
+	if opts.Replicas > 1 {
+		batch, stats := sb.SolveBatch(ctx, prob, sb.BatchParams{Base: params, Replicas: opts.Replicas})
 		res = batch
 		replicas = stats.Replicas
 		earlyStops = stats.EarlyStops

@@ -123,52 +123,6 @@ func TestIsingProblemBiasAndEnergy(t *testing.T) {
 	}
 }
 
-// TestSolveIsingFused pins the public Fused option: forcing the fused
-// engine returns exactly the same result as the default (auto) and the
-// explicit multi-replica path, and the incompatible Fused+Trace
-// combination is rejected up front.
-func TestSolveIsingFused(t *testing.T) {
-	p := maxCutProblem()
-	base := isinglut.SBOptions{Steps: 400, Seed: 9, Replicas: 4}
-	auto, err := isinglut.SolveIsing(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forced := base
-	forced.Fused = true
-	fused, err := isinglut.SolveIsing(p, forced)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fused.Energy != auto.Energy || fused.Iterations != auto.Iterations ||
-		fused.Replicas != auto.Replicas || fused.EarlyStops != auto.EarlyStops {
-		t.Fatalf("fused result (E=%g, it=%d) != auto result (E=%g, it=%d)",
-			fused.Energy, fused.Iterations, auto.Energy, auto.Iterations)
-	}
-	for i := range fused.Spins {
-		if fused.Spins[i] != auto.Spins[i] {
-			t.Fatalf("fused spins differ at %d", i)
-		}
-	}
-
-	// Fused with a single trajectory still answers (a 1-replica batch).
-	single, err := isinglut.SolveIsing(p, isinglut.SBOptions{Steps: 400, Seed: 9, Fused: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Replicas != 1 || len(single.Spins) != p.N() {
-		t.Fatalf("single fused solve: %d replicas, %d spins", single.Replicas, len(single.Spins))
-	}
-
-	// Trace needs per-replica control flow the fused engine refuses.
-	bad := base
-	bad.Fused = true
-	bad.Trace = true
-	if _, err := isinglut.SolveIsing(p, bad); err == nil {
-		t.Fatal("Fused+Trace accepted, want an error")
-	}
-}
-
 // TestSolveIsingSparseBitIdentity: the Sparse hint routes a low-density
 // instance onto the CSR coupler, which must not change a single bit of
 // the result — only which kernel streams J.

@@ -79,7 +79,7 @@ func batchEnergy(t *testing.T, p *ising.Problem, v sb.Variant, seed int64) float
 	params := sb.DefaultParamsFor(v)
 	params.Steps = 2000
 	params.Seed = seed
-	res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16, Workers: 4})
+	res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16})
 	if got := p.Energy(res.Spins); math.Abs(got-res.Energy) > oracleTol {
 		t.Errorf("seed %d %v: reported energy %.12f but spins evaluate to %.12f", seed, v, res.Energy, got)
 	}
@@ -161,7 +161,7 @@ func TestOracleBSBStagnation(t *testing.T) {
 	params.Steps = 2000
 	params.Seed = seed + 5000 // a far-away seed stream
 	params.Dt = 0.5
-	res, _ := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16, Workers: 4})
+	res, _ := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16})
 	if res.Energy != bsb {
 		t.Errorf("bSB attractor moved with seed/dt: %.12f vs %.12f — quasi-determinism assumption broken", res.Energy, bsb)
 	}
@@ -188,7 +188,7 @@ func TestOracleSparseDenseBitIdentity(t *testing.T) {
 			params := sb.DefaultParamsFor(v)
 			params.Steps = 600
 			params.Seed = seed
-			bp := sb.BatchParams{Base: params, Replicas: 8, Workers: 2}
+			bp := sb.BatchParams{Base: params, Replicas: 8}
 			dres, dstats := sb.SolveBatch(context.Background(), pd, bp)
 			sres, sstats := sb.SolveBatch(context.Background(), ps, bp)
 			if math.Float64bits(dres.Energy) != math.Float64bits(sres.Energy) {
@@ -231,7 +231,7 @@ func TestOracleQuantizedEnvelope(t *testing.T) {
 		params.Steps = 2000
 		params.Seed = seed
 		params.Quantize = true
-		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16, Workers: 4})
+		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16})
 		if !res.Quantized {
 			t.Fatalf("seed %d: quantized fast path not taken", seed)
 		}
@@ -262,7 +262,7 @@ func TestOracleBitPackedGroundState(t *testing.T) {
 		params.Steps = 2000
 		params.Seed = seed
 		params.BitPack = true
-		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16, Workers: 4})
+		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16})
 		if !res.Quantized || !res.BitPacked {
 			t.Fatalf("seed %d: bit-packed fast path not taken (quantized=%v bitpacked=%v)",
 				seed, res.Quantized, res.BitPacked)
@@ -336,7 +336,7 @@ func TestOracleCoreCOP(t *testing.T) {
 
 		opts := core.DefaultSolverOptions()
 		opts.SB.Seed = seed
-		bsb := core.SolveBSBBatch(context.Background(), cop, opts, 16, 4)
+		bsb := core.SolveBSBBatch(context.Background(), cop, opts, 16)
 		if math.Abs(bsb.Cost-colOpt) > oracleTol {
 			t.Errorf("seed %d: bSB+Theorem3 batch cost %.12f, optimum %.12f", seed, bsb.Cost, colOpt)
 		}
