@@ -103,7 +103,7 @@ func main() {
 		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "base jittered sleep between solver re-attempts")
 		brkThreshold = flag.Int("breaker-threshold", 5, "consecutive solver failures before an endpoint's circuit breaker opens (-1 disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker duration before a half-open probe")
-		peerList     = flag.String("peers", "", "comma-separated peer daemon base URLs; sharded solves (shard > 0) dispatch sub-solves to peers over /v1/solve/batch, falling back locally behind per-peer breakers")
+		peerList     = flag.String("peers", "", "comma-separated peer daemon base URLs; sharded solves (shard > 0) dispatch sub-solves to peers over /v1/solve/batch, quarantining failing peers and falling back locally")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "per-sub-solve deadline when dispatching to peers")
 		peerProbe    = flag.Duration("peer-probe-interval", 2*time.Second, "background /readyz fleet-probe interval, jittered ±20% (negative disables the probe loop)")
 		peerHedgeQ   = flag.Float64("peer-hedge-quantile", 0.95, "fleet latency quantile past which a straggling dispatch hedges to a second peer (negative disables hedging)")

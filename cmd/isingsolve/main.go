@@ -62,9 +62,7 @@ func main() {
 		replicas = flag.Int("replicas", 1, "SB replicas: independent trajectories, best kept")
 		workers  = flag.Int("workers", 0, "concurrent shard sub-solves with -shard (0 = GOMAXPROCS)")
 		rescue   = flag.Bool("rescue", false, "re-seed a diverged trajectory once with a halved dt instead of quarantining it")
-		sparse   = flag.Bool("sparse", false, "route the solve through the CSR sparse coupler when the instance is sparse enough (bit-identical results, nnz-bound kernels)")
-		quant    = flag.Bool("quant", false, "int8/int16 fixed-point dSB field kernels (quantize J once, integer accumulate); requires -solver dsb")
-		bitpack  = flag.Bool("bitpack", false, "bit-packed popcount dSB field kernels layered on quantization (bit-identical to -quant, faster on dense instances); requires -solver dsb")
+		quant    = flag.Bool("quant", false, "int8/int16 fixed-point dSB field kernels (quantize J once, integer or bit-plane popcount accumulate); requires -solver dsb")
 		shard    = flag.Bool("shard", false, "decompose the instance into coupled subproblems (shard-and-exchange) instead of solving it whole; incompatible with -tracecsv")
 		maxShard = flag.Int("max-shard", 256, "largest subproblem size under -shard")
 		shardRnd = flag.Int("shard-rounds", 0, "exchange rounds under -shard (0 = solver default)")
@@ -122,9 +120,7 @@ func main() {
 			Replicas: *replicas,
 			Workers:  *workers,
 			Rescue:   *rescue,
-			Sparse:   *sparse,
 			Quantize: *quant,
-			BitPack:  *bitpack,
 		}
 		if variant == isinglut.AdiabaticSB && *dt == 0 {
 			opts.Dt = 0.5 // aSB stability limit

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"isinglut"
+	"isinglut/internal/fault"
 )
 
 func TestLoadProblemJSON(t *testing.T) {
@@ -93,77 +95,67 @@ func TestDemoDeterministic(t *testing.T) {
 	}
 }
 
-// TestSparseQuantFlagOptions exercises the SBOptions combinations the
-// -sparse and -quant flags produce: a sparse demo ring solved through the
-// CSR coupler with the quantized dSB kernels, and the -quant with a
-// non-dsb solver misuse the CLI surfaces as an error.
+// quantFlagOpts are the SBOptions the -quant -solver dsb flags produce.
+var quantFlagOpts = isinglut.SBOptions{Variant: isinglut.DiscreteSB, Steps: 300, Seed: 3, Quantize: true}
+
+// TestBitpackFlagOptions checks that -quant on a dense demo spin glass
+// runs the bit-plane popcount kernels, which the instance picks with no
+// flag of its own, and that the result is bit-identical to the scalar
+// quantized kernels the ising.bitpack.pack failpoint forces.
+func TestBitpackFlagOptions(t *testing.T) {
+	glass, err := demoProblem("spinglass", 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, err := isinglut.SolveIsing(glass, quantFlagOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !packed.Quantized || !packed.BitPacked {
+		t.Fatalf("-quant -solver dsb on a dense instance: quantized=%v bitpacked=%v, want both",
+			packed.Quantized, packed.BitPacked)
+	}
+	defer fault.DisarmAll()
+	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+	scalar, err := isinglut.SolveIsing(glass, quantFlagOpts)
+	fault.DisarmAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scalar.BitPacked || !scalar.Quantized {
+		t.Fatalf("forced scalar run: quantized=%v bitpacked=%v", scalar.Quantized, scalar.BitPacked)
+	}
+	if math.Float64bits(packed.Energy) != math.Float64bits(scalar.Energy) {
+		t.Fatalf("bit-plane energy %v differs from scalar quantized energy %v", packed.Energy, scalar.Energy)
+	}
+	for i := range scalar.Spins {
+		if packed.Spins[i] != scalar.Spins[i] {
+			t.Fatalf("bit-plane spin %d differs from the scalar quantized run", i)
+		}
+	}
+}
+
+// TestSparseQuantFlagOptions checks that -quant on a sparse demo ring
+// runs the CSR coupler with the scalar quantized kernels, and that
+// -quant with a non-dsb solver surfaces as an error.
 func TestSparseQuantFlagOptions(t *testing.T) {
-	prob, err := demoProblem("ring", 32, 3)
+	ring, err := demoProblem("ring", 32, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := isinglut.SolveIsing(prob, isinglut.SBOptions{
-		Variant:  isinglut.DiscreteSB,
-		Steps:    300,
-		Seed:     3,
-		Sparse:   true,
-		Quantize: true,
-	})
+	res, err := isinglut.SolveIsing(ring, quantFlagOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Quantized {
-		t.Fatal("-sparse -quant -solver dsb did not take the quantized fast path")
+	if !res.Quantized || res.BitPacked {
+		t.Fatalf("-quant on a sparse ring: quantized=%v bitpacked=%v, want the scalar kernels",
+			res.Quantized, res.BitPacked)
 	}
 	if len(res.Spins) != 32 {
 		t.Fatalf("got %d spins, want 32", len(res.Spins))
 	}
 	// -quant with the default bsb solver must be rejected, not ignored.
-	if _, err := isinglut.SolveIsing(prob, isinglut.SBOptions{Quantize: true}); err == nil {
+	if _, err := isinglut.SolveIsing(ring, isinglut.SBOptions{Quantize: true}); err == nil {
 		t.Fatal("-quant without -solver dsb accepted")
-	}
-}
-
-// TestBitpackFlagOptions exercises the SBOptions the -bitpack flag
-// produces: a dense demo instance solved through the popcount kernels
-// (bit-identical to -quant, so the result must match it exactly), and
-// the -bitpack with a non-dsb solver misuse surfacing as an error.
-func TestBitpackFlagOptions(t *testing.T) {
-	prob, err := demoProblem("spinglass", 64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := isinglut.SBOptions{
-		Variant: isinglut.DiscreteSB,
-		Steps:   300,
-		Seed:    3,
-	}
-	quantOpts := base
-	quantOpts.Quantize = true
-	quant, err := isinglut.SolveIsing(prob, quantOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packOpts := base
-	packOpts.BitPack = true
-	packed, err := isinglut.SolveIsing(prob, packOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !packed.BitPacked || !packed.Quantized {
-		t.Fatalf("-bitpack -solver dsb did not take the packed path: %+v",
-			[]bool{packed.Quantized, packed.BitPacked})
-	}
-	if packed.Energy != quant.Energy {
-		t.Fatalf("-bitpack energy %v differs from -quant energy %v", packed.Energy, quant.Energy)
-	}
-	for i := range quant.Spins {
-		if packed.Spins[i] != quant.Spins[i] {
-			t.Fatalf("-bitpack spin %d differs from -quant", i)
-		}
-	}
-	// -bitpack with the default bsb solver must be rejected, not ignored.
-	if _, err := isinglut.SolveIsing(prob, isinglut.SBOptions{BitPack: true}); err == nil {
-		t.Fatal("-bitpack without -solver dsb accepted")
 	}
 }

@@ -171,7 +171,7 @@ func BenchmarkFieldSignsBitpackDense(b *testing.B) {
 		if !ok {
 			b.Fatal("Quantize failed")
 		}
-		p, ok := NewPlanes(q)
+		p, ok := NewPlanes(q, r)
 		if !ok {
 			b.Fatal("dense instance rejected by the packing dispatch")
 		}
@@ -188,8 +188,8 @@ func BenchmarkFieldSignsBitpackDense(b *testing.B) {
 
 // benchClusteredDensity is the instance density for the bit-packed CSR
 // plane benches: sparse enough that quantization picks the CSR layout,
-// dense enough that the density × width dispatch accepts packing (the
-// 5%-dense instances above are rejected — scalar CSR quant wins there).
+// dense enough that packing pays at n ≥ 256 (the 5%-dense instances
+// above lose packed at every width).
 const benchClusteredDensity = 0.2
 
 // BenchmarkFieldSignsQuantClustered is the scalar quantized CSR baseline
@@ -212,16 +212,17 @@ func BenchmarkFieldSignsQuantClustered(b *testing.B) {
 
 // BenchmarkFieldSignsBitpackClustered is the CSR-backed plane engine on
 // the same 20%-dense instances: only 64-column groups containing
-// nonzeros are stored and swept.
+// nonzeros are stored and swept. The planes are force-packed, so the
+// pair also times the n = 64 shape the dispatch keeps scalar.
 func BenchmarkFieldSignsBitpackClustered(b *testing.B) {
 	benchGrid(b, func(b *testing.B, n, r int) {
 		q, ok := Quantize(NewSparseFromDense(randomSparseDense(n, benchClusteredDensity, 1)))
 		if !ok {
 			b.Fatal("Quantize failed")
 		}
-		p, ok := NewPlanes(q)
+		p, ok := newPlanes(q, r, true)
 		if !ok {
-			b.Fatal("clustered instance rejected by the packing dispatch")
+			b.Fatal("force-pack rejected the clustered instance")
 		}
 		sigma := benchSigns(randomBlock(n, r, 2, 0))
 		out := make([]float64, n*r)

@@ -77,23 +77,18 @@ func (p *Planes) PlaneCount() int { return p.b }
 // active-group layout).
 func (p *Planes) Dense() bool { return p.dense != nil }
 
-// NewPlanes re-packs a quantized coupling into bit-planes, or reports
-// ok=false when packing is expected to lose to the scalar quantized
-// kernels — callers must treat ok=false as "stay on the quant path",
-// never as an error. The auto-dispatch heuristic is density × width: the
-// packed sweep costs (B+2) word ops per active 64-column group per lane
-// while the scalar kernel costs one multiply-add per stored entry per
-// lane, so packing is accepted iff activeGroups·(B+2) ≤ storedEntries
-// summed over rows (for a dense matrix the stored count is n per row,
-// which accepts every n ≥ (B+2)·⌈n/64⌉ and rejects tiny instances; very
-// sparse rows with scattered columns reject and stay on CSR quant).
-func NewPlanes(q *Quantized) (*Planes, bool) {
-	return newPlanes(q, false)
+// NewPlanes re-packs a quantized coupling into bit-planes for a run of
+// the given lane count, or reports ok=false when packing is expected to
+// lose to the scalar quantized kernels at that width — callers must
+// treat ok=false as "stay on the quant path", never as an error. The
+// dispatch is density × width × lanes; see packWins.
+func NewPlanes(q *Quantized, lanes int) (*Planes, bool) {
+	return newPlanes(q, lanes, false)
 }
 
 // newPlanes is NewPlanes with the heuristic override used by the
 // differential tests to force-pack regimes the dispatch would reject.
-func newPlanes(q *Quantized, force bool) (*Planes, bool) {
+func newPlanes(q *Quantized, lanes int, force bool) (*Planes, bool) {
 	if siteBitpackPack.Fire() {
 		return nil, false
 	}
@@ -102,15 +97,47 @@ func newPlanes(q *Quantized, force bool) (*Planes, bool) {
 	}
 	switch {
 	case q.d8 != nil:
-		return packDense(q, q.d8, force)
+		return packDense(q, q.d8, lanes, force)
 	case q.d16 != nil:
-		return packDense(q, q.d16, force)
+		return packDense(q, q.d16, lanes, force)
 	case q.s8 != nil:
-		return packCSR(q, q.s8, force)
+		return packCSR(q, q.s8, lanes, force)
 	case q.s16 != nil:
-		return packCSR(q, q.s16, force)
+		return packCSR(q, q.s16, lanes, force)
 	default:
 		return nil, false
+	}
+}
+
+// packWins is the packing dispatch. Per lane, the popcount sweep costs
+// b+2 word ops for each of the groups active 64-column groups (summed
+// over rows) and the scalar kernel one multiply-add for each of the
+// stored entries (n² in the dense code layout). Packing wins iff
+// k·(b+2)·groups ≤ stored, with the exchange rate k read off the
+// measured break-evens (EXPERIMENTS.md, "Kernels picked by the
+// instance"): 2.5 dense and 1.5 CSR at one lane, where no sign
+// transpose runs; 3.5 dense at two or three lanes; 4 dense from four
+// lanes on, where the scalar kernels tile four lanes in registers — and
+// int16 planes (b > 7), whose generic sweep is not unrolled, lose there
+// at any size. A batched CSR sweep also pays about half a group per row
+// for its per-row lane loop, so it packs iff (b+2)·(groups + n/2) ≤
+// stored: 20%-dense rows one 64-column word wide stay scalar, wider
+// ones pack.
+func packWins(dense bool, n, b, groups, stored, lanes int) bool {
+	cost := (b + 2) * groups
+	switch {
+	case lanes >= 4 && b > 7:
+		return false
+	case dense && lanes == 1:
+		return 5*cost <= 2*stored
+	case dense && lanes < 4:
+		return 7*cost <= 2*stored
+	case dense:
+		return 4*cost <= stored
+	case lanes == 1:
+		return 3*cost <= 2*stored
+	default:
+		return (b+2)*(2*groups+n) <= 2*stored
 	}
 }
 
@@ -129,16 +156,14 @@ func planeCount[T quantVal](codes []T) int {
 	return bits.Len64(uint64(maxAbs))
 }
 
-func packDense[T quantVal](q *Quantized, codes []T, force bool) (*Planes, bool) {
+func packDense[T quantVal](q *Quantized, codes []T, lanes int, force bool) (*Planes, bool) {
 	n := q.n
 	b := planeCount(codes)
 	if b == 0 {
 		return nil, false
 	}
 	w := (n + 63) / 64
-	// Heuristic: the dense quant kernel does n multiply-adds per row, the
-	// packed sweep (b+2) word ops per group.
-	if !force && w*(b+2) > n {
+	if !force && !packWins(true, n, b, n*w, n*n, lanes) {
 		return nil, false
 	}
 	gw := 1 + b
@@ -176,7 +201,7 @@ func packDense[T quantVal](q *Quantized, codes []T, force bool) (*Planes, bool) 
 	return p, true
 }
 
-func packCSR[T quantVal](q *Quantized, codes []T, force bool) (*Planes, bool) {
+func packCSR[T quantVal](q *Quantized, codes []T, lanes int, force bool) (*Planes, bool) {
 	n := q.n
 	b := planeCount(codes)
 	if b == 0 {
@@ -184,8 +209,7 @@ func packCSR[T quantVal](q *Quantized, codes []T, force bool) (*Planes, bool) {
 	}
 	// First pass: count active 64-column groups per row (columns are
 	// ascending within a row, so group changes are monotone) and apply
-	// the density × width dispatch against the CSR quant cost (one
-	// multiply-add per stored entry).
+	// the dispatch against the CSR quant cost.
 	activeTotal := 0
 	for i := 0; i < n; i++ {
 		lastG := int32(-1)
@@ -196,7 +220,7 @@ func packCSR[T quantVal](q *Quantized, codes []T, force bool) (*Planes, bool) {
 			}
 		}
 	}
-	if !force && activeTotal*(b+2) > len(q.col) {
+	if !force && !packWins(false, n, b, activeTotal, len(q.col), lanes) {
 		return nil, false
 	}
 	gw := 1 + b

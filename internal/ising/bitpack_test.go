@@ -169,7 +169,7 @@ func TestFieldPlanesMatchesQuantScalar(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s/n=%d: Quantize failed", c.name, c.coup.N())
 		}
-		p, ok := newPlanes(q, c.force)
+		p, ok := newPlanes(q, 1, c.force)
 		if !ok {
 			t.Fatalf("%s/n=%d: newPlanes(force=%v) rejected", c.name, c.coup.N(), c.force)
 		}
@@ -195,9 +195,9 @@ func TestFieldPlanesBatchMatchesQuantBatch(t *testing.T) {
 			if !ok {
 				t.Fatalf("n=%d: Quantize failed", n)
 			}
-			p, ok := NewPlanes(q)
+			p, ok := NewPlanes(q, r)
 			if !ok {
-				t.Fatalf("n=%d: NewPlanes rejected dense matrix", n)
+				t.Fatalf("n=%d r=%d: NewPlanes rejected dense matrix", n, r)
 			}
 			sigma := benchSigns(randomBlock(n, r, int64(n*r), 0))
 			want := make([]float64, n*r)
@@ -214,7 +214,7 @@ func TestFieldPlanesBatchMatchesQuantBatch(t *testing.T) {
 	if !ok {
 		t.Fatal("Quantize failed")
 	}
-	p, ok := newPlanes(q, true)
+	p, ok := newPlanes(q, 65, true)
 	if !ok {
 		t.Fatal("newPlanes(force) rejected sparse matrix")
 	}
@@ -229,40 +229,51 @@ func TestFieldPlanesBatchMatchesQuantBatch(t *testing.T) {
 	}
 }
 
-// TestNewPlanesDispatchHeuristic pins the density × width auto-dispatch:
-// dense instances from n=64 up pack, tiny dense instances and scattered
-// very-sparse instances stay on the scalar quant path, and a nil/empty
-// input is rejected outright.
+// TestNewPlanesDispatchHeuristic pins the density × width × lanes
+// dispatch at the cutoffs where the packed kernels stopped losing to the
+// scalar ones (EXPERIMENTS.md): int8 dense rows pack from 23 spins at
+// one lane, 32 at two or three and 36 from four on; int16 planes stop
+// packing at four lanes; 20%-dense CSR rows stay scalar at one lane and
+// pack batched once they span several 64-column groups, 25%-dense ones
+// pack at one lane. Tiny dense instances, scattered very-sparse ones and
+// a nil input always reject.
 func TestNewPlanesDispatchHeuristic(t *testing.T) {
-	q, ok := Quantize(randomDenseCoupler(256, 1))
-	if !ok {
-		t.Fatal("Quantize failed")
+	for _, c := range []struct {
+		name  string
+		coup  Coupler
+		lanes int
+		pack  bool
+	}{
+		{"dense n=22", randomDenseCoupler(22, 5), 1, false},
+		{"dense n=23", randomDenseCoupler(23, 5), 1, true},
+		{"dense n=31", randomDenseCoupler(31, 5), 2, false},
+		{"dense n=32", randomDenseCoupler(32, 5), 3, true},
+		{"dense n=35", randomDenseCoupler(35, 5), 4, false},
+		{"dense n=36", randomDenseCoupler(36, 5), 16, true},
+		{"dense n=64", randomDenseCoupler(64, 2), 1, true},
+		{"dense n=256", randomDenseCoupler(256, 1), 64, true},
+		{"dense n=4", randomDenseCoupler(4, 3), 1, false},
+		{"int16 n=128", int16Coupler(128, 3), 3, true},
+		{"int16 n=128", int16Coupler(128, 3), 4, false},
+		{"csr 20% n=256", NewSparseFromDense(randomSparseDense(256, 0.20, 6)), 1, false},
+		{"csr 20% n=256", NewSparseFromDense(randomSparseDense(256, 0.20, 6)), 3, true},
+		{"csr 20% n=64", NewSparseFromDense(randomSparseDense(64, 0.20, 6)), 3, false},
+		{"csr 25% n=256", NewSparseFromDense(randomSparseDense(256, 0.25, 6)), 1, true},
+		{"csr 2% n=256", NewSparseFromDense(randomSparseDense(256, 0.02, 4)), 64, false},
+	} {
+		q, ok := Quantize(c.coup)
+		if !ok {
+			t.Fatalf("%s: Quantize failed", c.name)
+		}
+		p, ok := NewPlanes(q, c.lanes)
+		if ok != c.pack {
+			t.Fatalf("%s at %d lanes: NewPlanes accepted=%v, want %v", c.name, c.lanes, ok, c.pack)
+		}
+		if _, dense := c.coup.(*Dense); ok && p.Dense() != dense {
+			t.Fatalf("%s: dense plane layout %v for a %T coupler", c.name, p.Dense(), c.coup)
+		}
 	}
-	if p, ok := NewPlanes(q); !ok || !p.Dense() {
-		t.Fatalf("dense n=256 must pack into the dense layout (ok=%v)", ok)
-	}
-	q, ok = Quantize(randomDenseCoupler(64, 2))
-	if !ok {
-		t.Fatal("Quantize failed")
-	}
-	if _, ok := NewPlanes(q); !ok {
-		t.Fatal("dense n=64 must pack")
-	}
-	q, ok = Quantize(randomDenseCoupler(4, 3))
-	if !ok {
-		t.Fatal("Quantize failed")
-	}
-	if _, ok := NewPlanes(q); ok {
-		t.Fatal("dense n=4 must reject: the popcount sweep loses below one word of columns")
-	}
-	q, ok = Quantize(NewSparseFromDense(randomSparseDense(256, 0.02, 4)))
-	if !ok {
-		t.Fatal("Quantize failed")
-	}
-	if _, ok := NewPlanes(q); ok {
-		t.Fatal("2-percent-dense scattered CSR must reject: ~5 entries per row spread over 4 word groups")
-	}
-	if _, ok := NewPlanes(nil); ok {
+	if _, ok := NewPlanes(nil, 1); ok {
 		t.Fatal("nil Quantized must reject")
 	}
 }
@@ -276,7 +287,7 @@ func TestPlanesBatchAllocFree(t *testing.T) {
 	if !ok {
 		t.Fatal("Quantize failed")
 	}
-	p, ok := NewPlanes(q)
+	p, ok := NewPlanes(q, r)
 	if !ok {
 		t.Fatal("NewPlanes rejected dense matrix")
 	}
@@ -305,11 +316,11 @@ func TestPlanesPackFailpoint(t *testing.T) {
 		t.Fatal("Quantize failed")
 	}
 	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
-	if _, ok := NewPlanes(q); ok {
+	if _, ok := NewPlanes(q, 1); ok {
 		t.Fatal("armed ising.bitpack.pack must reject packing")
 	}
 	fault.DisarmAll()
-	if _, ok := NewPlanes(q); !ok {
+	if _, ok := NewPlanes(q, 1); !ok {
 		t.Fatal("disarmed site must pack again")
 	}
 }
@@ -323,7 +334,7 @@ func TestPlanesAccumFailpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("Quantize failed")
 	}
-	p, ok := NewPlanes(q)
+	p, ok := NewPlanes(q, r)
 	if !ok {
 		t.Fatal("NewPlanes rejected dense matrix")
 	}
@@ -360,7 +371,7 @@ func FuzzFieldPlanes(f *testing.F) {
 		if !ok {
 			t.Skip("unquantizable draw (all-zero)")
 		}
-		p, ok := newPlanes(q, true)
+		p, ok := newPlanes(q, r, true)
 		if !ok {
 			t.Fatalf("n=%d density=%g: force-pack rejected", n, density)
 		}
@@ -398,7 +409,7 @@ func TestBenchSmokeBitpackBeatsQuant(t *testing.T) {
 	if !ok {
 		t.Fatal("Quantize failed")
 	}
-	p, ok := NewPlanes(q)
+	p, ok := NewPlanes(q, r)
 	if !ok {
 		t.Fatal("NewPlanes rejected dense n=256")
 	}

@@ -46,9 +46,6 @@ const (
 	// positions or energies) and the divergence guard quarantined it; the
 	// reported energy is +Inf so the run can never win a portfolio scan.
 	StopDiverged
-	// StopFailed: the run panicked and was converted into a failed replica
-	// (or job) by a recover boundary instead of crashing the process.
-	StopFailed
 )
 
 // String implements fmt.Stringer.
@@ -66,8 +63,6 @@ func (r StopReason) String() string {
 		return "deadline"
 	case StopDiverged:
 		return "diverged"
-	case StopFailed:
-		return "failed"
 	}
 	return "unknown"
 }
@@ -164,13 +159,11 @@ type Solver struct {
 	Cancelled Counter
 	Deadline  Counter
 	// Diverged counts runs (or replica lanes) quarantined by the numerical
-	// divergence guard; Failed counts runs whose panic a recover boundary
-	// converted into a failed replica. Rescues counts diverged trajectories
-	// that were re-seeded once with a damped time step instead of being
-	// quarantined outright (incremented directly by the engines, not via
-	// ObserveRun — a rescued run still completes with its own stop reason).
+	// divergence guard. Rescues counts diverged trajectories that were
+	// re-seeded once with a damped time step instead of being quarantined
+	// outright (incremented directly by the engines, not via ObserveRun —
+	// a rescued run still completes with its own stop reason).
 	Diverged Counter
-	Failed   Counter
 	Rescues  Counter
 
 	// SolveTime accumulates per-run wall clock; Latency buckets the same
@@ -205,8 +198,6 @@ func (s *Solver) ObserveRun(d time.Duration, reason StopReason) {
 		s.Deadline.Inc()
 	case StopDiverged:
 		s.Diverged.Inc()
-	case StopFailed:
-		s.Failed.Inc()
 	}
 }
 
@@ -238,7 +229,6 @@ func (s *Solver) reset() {
 	s.Cancelled.reset()
 	s.Deadline.reset()
 	s.Diverged.reset()
-	s.Failed.reset()
 	s.Rescues.reset()
 	s.SolveTime.reset()
 	s.WorkerBusy.reset()

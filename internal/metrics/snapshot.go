@@ -18,14 +18,13 @@ type SolverSnapshot struct {
 	Restarts   int64  `json:"restarts"`
 
 	// Stop-reason tallies over completed runs, plus the robustness
-	// counters: quarantined divergences, panic-converted failures, and
-	// damped-Dt rescues of diverged trajectories.
+	// counters: quarantined divergences and damped-Dt rescues of diverged
+	// trajectories.
 	Converged int64 `json:"converged"`
 	MaxIters  int64 `json:"max_iters"`
 	Cancelled int64 `json:"cancelled"`
 	Deadline  int64 `json:"deadline"`
 	Diverged  int64 `json:"diverged"`
-	Failed    int64 `json:"failed"`
 	Rescues   int64 `json:"rescues"`
 
 	// Wall-clock totals and the derived mean, in nanoseconds.
@@ -53,7 +52,6 @@ func (s *Solver) snapshot() SolverSnapshot {
 		Cancelled:   s.Cancelled.Load(),
 		Deadline:    s.Deadline.Load(),
 		Diverged:    s.Diverged.Load(),
-		Failed:      s.Failed.Load(),
 		Rescues:     s.Rescues.Load(),
 		SolveTimeNS: int64(s.SolveTime.Total()),
 		MeanRunNS:   int64(s.SolveTime.Mean()),
@@ -82,8 +80,8 @@ func Snapshot() []SolverSnapshot {
 // Render writes a compact human-readable summary of a snapshot set — the
 // CLI's -metrics output.
 func Render(w io.Writer, snaps []SolverSnapshot) {
-	fmt.Fprintf(w, "%-10s %8s %12s %10s %9s %9s %9s %8s %8s %6s %12s %6s\n",
-		"solver", "runs", "iterations", "samples", "converged", "max-iter", "cancelled", "deadline", "diverged", "failed", "total", "util")
+	fmt.Fprintf(w, "%-10s %8s %12s %10s %9s %9s %9s %8s %8s %12s %6s\n",
+		"solver", "runs", "iterations", "samples", "converged", "max-iter", "cancelled", "deadline", "diverged", "total", "util")
 	for _, s := range snaps {
 		if s.Runs == 0 && s.Iterations == 0 {
 			continue
@@ -92,9 +90,9 @@ func Render(w io.Writer, snaps []SolverSnapshot) {
 		if s.Utilization > 0 {
 			util = fmt.Sprintf("%.0f%%", s.Utilization*100)
 		}
-		fmt.Fprintf(w, "%-10s %8d %12d %10d %9d %9d %9d %8d %8d %6d %12s %6s\n",
+		fmt.Fprintf(w, "%-10s %8d %12d %10d %9d %9d %9d %8d %8d %12s %6s\n",
 			s.Name, s.Runs, s.Iterations, s.Samples, s.Converged, s.MaxIters,
-			s.Cancelled, s.Deadline, s.Diverged, s.Failed,
+			s.Cancelled, s.Deadline, s.Diverged,
 			time.Duration(s.SolveTimeNS).Round(time.Microsecond), util)
 	}
 }

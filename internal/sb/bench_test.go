@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"isinglut/internal/fault"
 	"isinglut/internal/ising"
 )
 
@@ -70,23 +71,21 @@ func randomSparseProblem(n int, seed int64, useCSR bool) *ising.Problem {
 	return p
 }
 
-// benchDSBParams is benchBatchParams restricted to the discrete variant,
-// the only one with quantized and bit-packed fast paths.
-func benchDSBParams(r int, quantize, bitpack bool) BatchParams {
-	bp := benchBatchParams(r)
-	bp.Base.Variant = Discrete
-	bp.Base.Quantize = quantize
-	bp.Base.BitPack = bitpack
-	return bp
-}
-
 // benchFusedDSB runs the lane engine over the grid on a prebuilt problem
-// family; all five end-to-end dSB benches share it so the comparisons
-// isolate the coupler/quantization choice.
-func benchFusedDSB(b *testing.B, prob func(n int) *ising.Problem, quantize, bitpack bool) {
+// family under dSB; all six end-to-end dSB benches share it so the
+// comparisons isolate the coupler/quantization choice. scalar arms the
+// ising.bitpack.pack failpoint, keeping a quantized run on the scalar
+// integer kernels where the instance would pick the bit-planes.
+func benchFusedDSB(b *testing.B, prob func(n int) *ising.Problem, quantize, scalar bool) {
+	if scalar {
+		fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+		defer fault.DisarmAll()
+	}
 	benchEngineGrid(b, func(b *testing.B, n, r int) {
 		p := prob(n)
-		bp := benchDSBParams(r, quantize, bitpack)
+		bp := benchBatchParams(r)
+		bp.Base.Variant = Discrete
+		bp.Base.Quantize = quantize
 		ws := new(Workspace)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -102,17 +101,18 @@ func BenchmarkSolveFusedDSB(b *testing.B) {
 	benchFusedDSB(b, func(n int) *ising.Problem { return randomProblem(n, int64(n)) }, false, false)
 }
 
-// BenchmarkSolveFusedDSBQuant is the same trajectory through the int8
-// fixed-point field kernels (energies still evaluated against exact J).
+// BenchmarkSolveFusedDSBQuant is the same trajectory through the scalar
+// int8 fixed-point field kernels (energies still evaluated against
+// exact J), held off the bit-planes the instance would pick.
 func BenchmarkSolveFusedDSBQuant(b *testing.B) {
-	benchFusedDSB(b, func(n int) *ising.Problem { return randomProblem(n, int64(n)) }, true, false)
+	benchFusedDSB(b, func(n int) *ising.Problem { return randomProblem(n, int64(n)) }, true, true)
 }
 
-// BenchmarkSolveFusedDSBBitpack is the same trajectory again through the
-// bit-packed popcount kernels: sign/magnitude bit-planes against
-// replica-bit-sliced spin masks, bit-identical to the quantized run.
+// BenchmarkSolveFusedDSBBitpack is the same quantized trajectory on the
+// kernels the dense instance picks: sign/magnitude bit-planes against
+// replica-bit-sliced spin masks, bit-identical to the scalar run.
 func BenchmarkSolveFusedDSBBitpack(b *testing.B) {
-	benchFusedDSB(b, func(n int) *ising.Problem { return randomProblem(n, int64(n)) }, false, true)
+	benchFusedDSB(b, func(n int) *ising.Problem { return randomProblem(n, int64(n)) }, true, false)
 }
 
 // BenchmarkSolveFusedDSBSparseDense runs a density-0.05 instance through

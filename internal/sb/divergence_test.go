@@ -147,6 +147,48 @@ func TestDivergenceRescueSecondOverflowQuarantines(t *testing.T) {
 	}
 }
 
+// TestDivergenceRescueLateResetsWindow rescues a replica late in its
+// run: the §3.3.1 window (F = 10, S = 4) is full from iteration 40 on,
+// the poison fires at the 19th sample (iteration 190), and the burn-in
+// keeps the stop off until 200. Epsilon is so loose that any full window
+// stops the run, so a window still holding the pre-rescue energies would
+// stop it at 200; the reset window refills only by 220, S samples after
+// the rescue. A batch lane must do the same as its r = 1 solve.
+func TestDivergenceRescueLateResetsWindow(t *testing.T) {
+	const (
+		replicas = 3
+		victim   = 1
+		rescueAt = 190
+	)
+	p := randomProblem(24, 7)
+	base := DefaultParamsFor(Ballistic)
+	base.Steps = 400
+	base.Seed = 100
+	base.RescueDiverged = true
+	base.Stop = &StopCriteria{F: 10, S: 4, Epsilon: 1e9, MinIters: 200}
+	key := base.Seed + int64(victim)
+	defer fault.DisarmAll()
+	_, st := assertLanesMatchSingles(t, "late rescue", p, BatchParams{Base: base, Replicas: replicas}, func() {
+		fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{key}, After: rescueAt/base.Stop.F - 1})
+	})
+	if !st.Rescued[victim] || st.Diverged[victim] {
+		t.Fatalf("replica %d: rescued=%v diverged=%v, want a rescue without quarantine",
+			victim, st.Rescued[victim], st.Diverged[victim])
+	}
+	if st.Stopped[victim] != metrics.StopConverged {
+		t.Fatalf("rescued replica stop %v, want the dynamic stop", st.Stopped[victim])
+	}
+	if want := rescueAt + (base.Stop.S-1)*base.Stop.F; st.Iterations[victim] < want {
+		t.Fatalf("rescued replica stopped at iteration %d, before its reset window refilled at %d",
+			st.Iterations[victim], want)
+	}
+	for k := range st.Iterations {
+		if k != victim && st.Iterations[k] != base.Stop.MinIters {
+			t.Fatalf("replica %d stopped at %d, want the burn-in end %d", k, st.Iterations[k], base.Stop.MinIters)
+		}
+	}
+}
+
 // TestScalarStepPoisonDiverges drives the unkeyed ising.field failpoint
 // through a single-replica solve: a NaN escaping the field product
 // mid-iteration must surface as a quarantined run with valid ±1 spins,

@@ -76,17 +76,17 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 	// Quantize once per run: the O(n²) pass is ~0.1% of a typical solve
 	// and buys integer accumulation for every one of the Steps field
 	// products. A nil quant (flag off, non-dSB variant, or unquantizable
-	// coupling) is the float64 path; a nil planes (flag off, heuristic
-	// rejection, or failed quantization) stays on the scalar quantized
-	// kernels — bit-identically either way. Sample-point and stop-window
-	// energies always evaluate against the exact float coupling.
+	// coupling) is the float64 path; a nil planes (heuristic rejection)
+	// stays on the scalar quantized kernels — bit-identically either way.
+	// Sample-point and stop-window energies always evaluate against the
+	// exact float coupling.
 	var quant *ising.Quantized
-	if (params.Quantize || params.BitPack) && params.Variant == Discrete {
+	if params.Quantize && params.Variant == Discrete {
 		quant, _ = ising.Quantize(p.Coup)
 	}
 	var planes *ising.Planes
-	if params.BitPack && quant != nil {
-		planes, _ = ising.NewPlanes(quant)
+	if quant != nil {
+		planes, _ = ising.NewPlanes(quant, replicas)
 	}
 
 	ws.ensure(n, replicas)

@@ -11,23 +11,22 @@ import (
 // sample energies and 20 stop-check energies. bSB and aSB take the 19
 // stop-check products followed by a step as that step's field (221
 // products); dSB needs J·sign(x), so its count stays 240. The quantizer
-// does not see through the counting wrapper, so the Quantize and BitPack
-// rows run dSB's float kernel; they pin that neither flag turns the
-// reuse on. The counts hold per batch at 3 replicas, where every product
+// does not see through the counting wrapper, so the Quantize row runs
+// dSB's float kernel; it pins that the flag does not turn the reuse on.
+// The counts hold per batch at 3 replicas, where every product
 // is one FieldBatch call for all lanes; at 1 replica every product is one
 // Field call.
 func TestSolveWithReusesStopCheckField(t *testing.T) {
 	cases := []struct {
-		name           string
-		variant        Variant
-		quant, bitpack bool
-		want           int64
+		name    string
+		variant Variant
+		quant   bool
+		want    int64
 	}{
-		{"bSB", Ballistic, false, false, 221},
-		{"aSB", Adiabatic, false, false, 221},
-		{"dSB", Discrete, false, false, 240},
-		{"dSB/quant", Discrete, true, false, 240},
-		{"dSB/bitpack", Discrete, false, true, 240},
+		{"bSB", Ballistic, false, 221},
+		{"aSB", Adiabatic, false, 221},
+		{"dSB", Discrete, false, 240},
+		{"dSB/quant", Discrete, true, 240},
 	}
 	for _, c := range cases {
 		for _, r := range []int{1, 3} {
@@ -36,7 +35,7 @@ func TestSolveWithReusesStopCheckField(t *testing.T) {
 			params.Steps = 200
 			params.Stop = &StopCriteria{F: 10, S: 4, Epsilon: 0}
 			params.SampleEvery = 10
-			params.Quantize, params.BitPack = c.quant, c.bitpack
+			params.Quantize = c.quant
 			var res Result
 			if r == 1 {
 				res = SolveWith(context.Background(), p, params, NewWorkspace(p.N()))

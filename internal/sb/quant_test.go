@@ -64,16 +64,17 @@ func assertSameTrajectory(t *testing.T, a, b Result, context string) {
 }
 
 // TestQuantExactRepresentableMatchesFloat: on a losslessly-quantizable
-// coupling the quantized dSB solve is bit-identical to the float solve —
-// fields, trajectory, sample energies, final spins.
+// coupling the quantized dSB solve on the scalar integer kernels is
+// bit-identical to the float solve — fields, trajectory, sample
+// energies, final spins.
 func TestQuantExactRepresentableMatchesFloat(t *testing.T) {
 	p := exactQuantProblem(20, 5)
 	params := divergenceParams(Discrete)
 	exact := Solve(p, params)
 	params.Quantize = true
-	quant := Solve(p, params)
-	if !quant.Quantized {
-		t.Fatal("quantized fast path not taken")
+	quant := solveScalarQuant(p, params)
+	if !quant.Quantized || quant.BitPacked {
+		t.Fatal("scalar quantized fast path not taken")
 	}
 	if exact.Quantized {
 		t.Fatal("float solve reports Quantized")
@@ -81,11 +82,14 @@ func TestQuantExactRepresentableMatchesFloat(t *testing.T) {
 	assertSameTrajectory(t, exact, quant, "exact-representable dSB")
 }
 
-// TestQuantFusedMatchesFuseOff pins the lane property on the quantized
-// path, for dense and CSR couplers: each lane of a quantized batch (one
-// sliced kernel call per step) equals its r = 1 quantized solve bitwise.
+// TestQuantFusedMatchesFuseOff pins the lane property on the scalar
+// quantized kernels (ising.bitpack.pack keeps the dense instance off the
+// bit-planes), for dense and CSR couplers: each lane of a quantized
+// batch (one sliced kernel call per step) equals its r = 1 quantized
+// solve bitwise.
 func TestQuantFusedMatchesFuseOff(t *testing.T) {
 	const replicas = 4
+	defer fault.DisarmAll()
 	for _, tc := range []struct {
 		name string
 		p    *ising.Problem
@@ -94,9 +98,11 @@ func TestQuantFusedMatchesFuseOff(t *testing.T) {
 		{"csr", randomSparseProblem(48, 11, true)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, _ := assertLanesMatchSingles(t, tc.name, tc.p, BatchParams{Base: quantParams(), Replicas: replicas}, nil)
-			if !res.Quantized {
-				t.Fatal("fast path not taken")
+			res, _ := assertLanesMatchSingles(t, tc.name, tc.p, BatchParams{Base: quantParams(), Replicas: replicas}, func() {
+				fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+			})
+			if !res.Quantized || res.BitPacked {
+				t.Fatal("scalar quantized fast path not taken")
 			}
 		})
 	}

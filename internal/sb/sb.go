@@ -150,25 +150,18 @@ type Params struct {
 	// product runs on int8/int16 integer accumulation instead of float64,
 	// rescaling only at sample points — energies and the dynamic-stop
 	// window are always evaluated against the exact float coupling. The
-	// flag only applies to the Discrete variant (other variants need the
-	// continuous x in the field product and silently ignore it), and it
-	// degrades automatically: when the coupling is not quantizable (non-
-	// finite entries, dynamic-range overflow, unsupported coupler kind)
-	// the run falls back to the float64 engine bit-identically, reported
-	// via Result.Quantized.
+	// codes are re-packed into bit-planes (ising.NewPlanes) whenever its
+	// density × width × lanes dispatch accepts them for the run's replica
+	// count; the popcount kernels compute
+	// the same integers as the scalar ones, so the kernel choice never
+	// changes a trajectory. The flag only applies to the Discrete variant
+	// (other variants need the continuous x in the field product and
+	// silently ignore it), and it degrades automatically: when the
+	// coupling is not quantizable (non-finite entries, dynamic-range
+	// overflow, unsupported coupler kind) the run falls back to the
+	// float64 engine bit-identically. Result.Quantized and
+	// Result.BitPacked report what ran.
 	Quantize bool
-	// BitPack layers the popcount fast path on top of Quantize: the
-	// quantized codes are re-packed into sign+magnitude bit-planes
-	// (ising.NewPlanes) and the per-step field product runs on
-	// AND+POPCNT sweeps over packed ±1 spin masks — bit-identical to the
-	// scalar quantized kernels, so whole trajectories match the Quantize
-	// path exactly. It implies Quantize (the codes are the input), only
-	// applies to the Discrete variant, and degrades in two stages: an
-	// unquantizable coupling falls back to float64, and a coupling whose
-	// density × width heuristic rejects packing (tiny or very sparse
-	// instances where the scalar kernel wins) stays on the scalar
-	// quantized path. Result.BitPacked reports what actually ran.
-	BitPack bool
 	// RescueDiverged enables the one-shot divergence rescue: when the
 	// guard detects non-finite positions or energy at a sample point, the
 	// trajectory is re-seeded from Seed with the time step halved and the
@@ -239,10 +232,9 @@ type Result struct {
 	// was off, the variant was not Discrete, or the coupling failed to
 	// quantize and the solve fell back to float64.
 	Quantized bool
-	// BitPacked reports that the run used the bit-packed popcount field
-	// kernels (Params.BitPack accepted by the packing heuristic on top of
-	// a successful quantization); when false with Quantized true, the
-	// solve ran on the scalar quantized kernels instead.
+	// BitPacked reports that those kernels were the bit-plane popcount
+	// ones (ising.NewPlanes accepted the codes); when false with
+	// Quantized true, the solve ran on the scalar quantized kernels.
 	BitPacked bool
 	// Trace holds the sampled energies when Params.RecordTrace is set. It
 	// is allocated per run, so unlike Spins it outlives the workspace.

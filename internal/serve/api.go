@@ -114,27 +114,16 @@ type SolveRequest struct {
 	// the answer (a rescued trajectory differs), so it is part of the
 	// cache key.
 	Rescue bool `json:"rescue,omitempty"`
-	// Sparse routes the solve through the CSR sparse coupler when the
-	// instance is sparse enough for it to win. Results are bit-identical
-	// to the dense path, so like Workers the flag is cache-key-neutral: both
-	// request forms share one cache slot.
-	Sparse bool `json:"sparse,omitempty"`
 	// Quant enables the int8/int16 fixed-point dSB fast path (requires
-	// variant "dsb"). Quantization changes numerics within the documented
-	// envelope, so quantized results are never cached; the flag is still
-	// excluded from the cache key, which makes it a pure performance hint:
-	// a cached exact result may be served for a quant request (strictly
-	// better than what was asked for), but a quantized result can never be
-	// served for an exact request.
+	// variant "dsb"); the instance picks the scalar or the bit-plane
+	// popcount kernels, which give identical results. Quantization
+	// changes numerics within the documented envelope, so quantized
+	// results are never cached; the flag is still excluded from the
+	// cache key, which makes it a pure performance hint: a cached exact
+	// result may be served for a quant request (strictly better than
+	// what was asked for), but a quantized result can never be served
+	// for an exact request.
 	Quant bool `json:"quant,omitempty"`
-	// BitPack layers the popcount fast path on top of quant (requires
-	// variant "dsb", implies quant): the quantized codes are re-packed
-	// into bit-planes and the field products run on AND+POPCNT sweeps —
-	// bit-identical to the quant path, throughput only. It shares quant's
-	// pinned cache semantics: bit-packed results are quantized results,
-	// so they are never cached, and the flag is excluded from the cache
-	// key so a bitpack request may ride an already-cached exact entry.
-	BitPack bool `json:"bitpack,omitempty"`
 	// Shard > 0 routes the solve through the shard-and-exchange
 	// decomposition layer with subproblems of at most Shard spins — the
 	// path for instances one SB solve cannot hold. When the server has
@@ -166,8 +155,8 @@ type SolveResponse struct {
 	// Quantized reports that the solve actually ran on the fixed-point
 	// kernels (SolveRequest.Quant accepted and the coupling quantized).
 	Quantized bool `json:"quantized,omitempty"`
-	// BitPacked reports that the solve ran on the bit-packed popcount
-	// kernels (SolveRequest.BitPack accepted by the packing heuristic).
+	// BitPacked reports that those kernels were the bit-plane popcount
+	// ones (the packing heuristic accepted the instance).
 	BitPacked bool `json:"bitpacked,omitempty"`
 	// Shards is the partition size of a sharded solve (0 for a direct
 	// solve); ShardRounds the exchange rounds it executed.
@@ -221,12 +210,11 @@ type Health struct {
 	Queued       int    `json:"queued"`
 	InFlight     int    `json:"in_flight"`
 	CacheEntries int    `json:"cache_entries"`
-	// Breakers maps endpoint name to circuit-breaker state ("closed",
-	// "open", "half-open").
+	// Breakers maps endpoint name ("decompose", "solve") to
+	// circuit-breaker state ("closed", "open", "half-open").
 	Breakers map[string]string `json:"breakers,omitempty"`
 	// Peers maps peer base URL to its fleet lifecycle entry (coordinator
-	// mode only). The legacy "peer:<url>" Breakers entries remain for
-	// scrapers that predate the fleet manager.
+	// mode only).
 	Peers map[string]PeerHealth `json:"peers,omitempty"`
 }
 
@@ -384,22 +372,17 @@ func (r *SolveRequest) solveKey() string {
 	for _, b := range r.Biases {
 		writeU64(h, math.Float64bits(b))
 	}
-	// Sparse is deliberately not hashed: the CSR coupler returns
-	// bit-identical results for equal seeds, so both request forms share
-	// one cache slot (Workers and TimeoutMS are excluded for the same
-	// reason). Quant is excluded too, but for the opposite reason:
+	// Workers and TimeoutMS are not hashed: they never change the
+	// answer. Quant is excluded too, but for the opposite reason:
 	// quantized results are never cached (handleSolve refuses to Put
 	// them), so hashing the flag would only split the slot that lets a
 	// quant request ride an already-cached exact result.
-	// BitPack inherits Quant's treatment wholesale: bit-packed results
-	// are quantized results (never cached), and the flag stays out of the
-	// key so a bitpack request rides exact entries too.
 	writeString(h, r.Variant)
 	writeU64(h, uint64(r.Steps))
 	writeU64(h, math.Float64bits(r.Dt))
 	writeU64(h, uint64(r.Seed))
 	writeU64(h, uint64(r.Replicas))
-	// Rescue IS hashed, unlike Sparse: a rescued trajectory legitimately
+	// Rescue IS hashed, unlike Workers: a rescued trajectory legitimately
 	// differs from a quarantined one, so the two request forms must not
 	// share a cache slot.
 	if r.Rescue {

@@ -125,12 +125,12 @@ func TestChaosEverySiteFires(t *testing.T) {
 	}
 	fault.DisarmAll()
 
-	// The bit-pack failpoints need an instance the density × width
-	// dispatch accepts: a dense all-pairs 16-spin problem (the 8-spin
-	// ring is rejected, so its packed kernels would never run).
-	dense := isinglut.NewIsingProblem(16)
-	for i := 0; i < 16; i++ {
-		for j := i + 1; j < 16; j++ {
+	// The bit-pack failpoints need an instance the packing dispatch
+	// accepts: a dense all-pairs 32-spin problem (the 8-spin ring is
+	// rejected, so its packed kernels would never run).
+	dense := isinglut.NewIsingProblem(32)
+	for i := 0; i < 32; i++ {
+		for j := i + 1; j < 32; j++ {
 			dense.SetCoupling(i, j, float64((i*5+j*3)%11-5)/5+0.1)
 		}
 	}
@@ -141,7 +141,7 @@ func TestChaosEverySiteFires(t *testing.T) {
 	// kernels were actually in play (BitPacked set).
 	fault.MustArm("ising.bitpack.accum", fault.Scenario{After: 2, Times: -1})
 	res, err = isinglut.SolveIsing(dense, isinglut.SBOptions{
-		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, BitPack: true,
+		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,16 +156,19 @@ func TestChaosEverySiteFires(t *testing.T) {
 
 	// ising.bitpack.pack: a poisoned packer must degrade to the scalar
 	// quantized kernels bit-identically — same energy and step count as
-	// the plain quant solve, Quantized still set, BitPacked unset.
+	// the packed quant solve, Quantized still set, BitPacked unset.
 	qref, err := isinglut.SolveIsing(dense, isinglut.SBOptions{
 		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !qref.BitPacked {
+		t.Fatalf("quant solve of a dense instance did not pack: %+v", qref)
+	}
 	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
 	pfb, err := isinglut.SolveIsing(dense, isinglut.SBOptions{
-		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, BitPack: true,
+		Variant: isinglut.DiscreteSB, Steps: 100, Seed: 1, Quantize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +289,9 @@ func TestChaosEverySiteFires(t *testing.T) {
 	fault.DisarmAll()
 
 	// shard.dispatch: coordinator mode with every peer dispatch failing.
-	// The breaker records the failures and each sub-solve is served from
-	// the bit-identical local fallback, so the request still answers 200.
+	// The peer lifecycle records the failures and each sub-solve is served
+	// from the bit-identical local fallback, so the request still answers
+	// 200.
 	_, cts := testServer(t, Config{
 		Workers: 2, Retries: -1, Peers: []string{"http://peer.invalid"},
 	})

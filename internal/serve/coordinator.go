@@ -312,15 +312,13 @@ func (d *peerDispatcher) solveGroupHedged(ctx context.Context, peer *peerClient,
 }
 
 // solveGroup runs one peer's group as a single /v1/solve/batch round
-// trip: breaker-guarded, failpoint-instrumented, outcome fed back into
-// the peer's lifecycle and the fleet latency distribution. The group
-// error covers transport-level trouble; per-item errors (a rejected or
-// corrupt item inside a 200 batch) ride the slice and do not touch the
-// breaker.
+// trip: failpoint-instrumented, outcome fed back into the peer's
+// lifecycle and the fleet latency distribution. The group error covers
+// transport-level trouble; per-item errors (a rejected or corrupt item
+// inside a 200 batch) ride the slice and do not touch the lifecycle.
 func (d *peerDispatcher) solveGroup(ctx context.Context, peer *peerClient, group []shard.SubProblem) ([]shard.SubResult, []error, error) {
 	sm := metrics.Shard()
 	if siteDispatch.Fire() {
-		peer.breaker.failure()
 		peer.noteFailure(sm)
 		return nil, nil, fmt.Errorf("fault: injected shard.dispatch failure (round %d, %d shards)", group[0].Round, len(group))
 	}
@@ -332,15 +330,10 @@ func (d *peerDispatcher) solveGroup(ctx context.Context, peer *peerClient, group
 		case fault.ModeCorrupt:
 			corrupt = true
 		default: // drop
-			peer.breaker.failure()
 			peer.noteFailure(sm)
 			return nil, nil, fmt.Errorf("fault: injected serve.peer.dispatch drop (peer %d)", peer.idx)
 		}
 	}
-	if !peer.breaker.allow() {
-		return nil, nil, fmt.Errorf("peer %s breaker open", peer.url)
-	}
-
 	// The wire deadline is the REMAINING outer budget capped by the
 	// per-shard timeout, and it travels in the body (timeout_ms) too:
 	// a peer never burns pool slots on a sub-solve the coordinator has
@@ -372,7 +365,6 @@ func (d *peerDispatcher) solveGroup(ctx context.Context, peer *peerClient, group
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(pctx, http.MethodPost, peer.url+"/v1/solve/batch", bytes.NewReader(body))
 	if err != nil {
-		peer.breaker.failure()
 		peer.noteFailure(sm)
 		return nil, nil, err
 	}
@@ -384,14 +376,12 @@ func (d *peerDispatcher) solveGroup(ctx context.Context, peer *peerClient, group
 		// deadline) is not the peer's fault — only blame it when the
 		// group context is still live.
 		if ctx.Err() == nil {
-			peer.breaker.failure()
 			peer.noteFailure(sm)
 		}
 		return nil, nil, err
 	}
 	defer hres.Body.Close()
 	if hres.StatusCode != http.StatusOK {
-		peer.breaker.failure()
 		peer.noteFailure(sm)
 		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 512))
 		return nil, nil, fmt.Errorf("peer status %d: %s", hres.StatusCode, bytes.TrimSpace(msg))
@@ -399,18 +389,15 @@ func (d *peerDispatcher) solveGroup(ctx context.Context, peer *peerClient, group
 	var bresp SolveBatchResponse
 	if err := json.NewDecoder(io.LimitReader(hres.Body, 64<<20)).Decode(&bresp); err != nil {
 		if ctx.Err() == nil {
-			peer.breaker.failure()
 			peer.noteFailure(sm)
 		}
 		return nil, nil, fmt.Errorf("peer response: %w", err)
 	}
 	if len(bresp.Items) != len(group) {
-		peer.breaker.failure()
 		peer.noteFailure(sm)
 		return nil, nil, fmt.Errorf("peer answered %d items for %d", len(bresp.Items), len(group))
 	}
 	latency := time.Since(started)
-	peer.breaker.success()
 	peer.noteSuccess(latency, sm)
 	d.srv.fleet.observeLatency(latency)
 
@@ -468,7 +455,6 @@ func (d *peerDispatcher) subRequest(sub shard.SubProblem, timeoutMS int64) Solve
 		S:           d.req.S,
 		Epsilon:     d.req.Epsilon,
 		Rescue:      d.req.Rescue,
-		Sparse:      true, // subproblems are sparse by construction
 		Quant:       d.req.Quant,
 		TimeoutMS:   timeoutMS,
 	}

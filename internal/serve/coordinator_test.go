@@ -2,8 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,20 +93,26 @@ func TestCoordinatorDeadPeerFallsBackBitIdentical(t *testing.T) {
 }
 
 // TestCoordinatorPeerBreakerOpens drives repeated dispatch failures via
-// the shard.dispatch failpoint until the peer's dedicated breaker opens,
-// and checks /healthz reports the per-peer breaker state.
+// the shard.dispatch failpoint until the peer's lifecycle quarantines it
+// — the peer's open breaker: no further dispatch reaches it until a
+// probe readmits it — and checks /healthz reports the state.
 func TestCoordinatorPeerBreakerOpens(t *testing.T) {
 	defer fault.DisarmAll()
 	s, coord := testServer(t, Config{
-		Workers:          2,
-		Peers:            []string{"http://peer.invalid"},
-		BreakerThreshold: 2, BreakerCooldown: time.Hour,
+		Workers:           2,
+		Peers:             []string{"http://peer.invalid"},
+		PeerProbeInterval: -1,
 	})
 
 	fault.MustArm("shard.dispatch", fault.Scenario{Times: -1})
 	solveOK(t, coord.URL, shardSolveReq(35)) // still 200: local fallback serves every shard
-	if got := s.peers[0].breaker.currentState(); got != breakerOpen {
-		t.Fatalf("peer breaker state %v after repeated dispatch failures, want open", got)
+	if st, _, _ := s.peers[0].snapshot(); st != peerQuarantined {
+		t.Fatalf("peer state %v after repeated dispatch failures, want quarantined", st)
+	}
+	fired := fault.Fired("shard.dispatch")
+	solveOK(t, coord.URL, shardSolveReq(36))
+	if got := fault.Fired("shard.dispatch"); got != fired {
+		t.Fatalf("quarantined peer still took %d dispatches", got-fired)
 	}
 
 	resp, err := http.Get(coord.URL + "/healthz")
@@ -116,63 +120,11 @@ func TestCoordinatorPeerBreakerOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := decodeBody[Health](t, resp)
-	if got := h.Breakers["peer:http://peer.invalid"]; got != "open" {
-		t.Fatalf("healthz peer breaker %q, want open (breakers: %v)", got, h.Breakers)
+	if got := h.Peers["http://peer.invalid"].State; got != "quarantined" {
+		t.Fatalf("healthz peer state %q, want quarantined (peers: %v)", got, h.Peers)
 	}
-}
-
-// TestCoordinatorBreakerHalfOpenSingleProbe races concurrent dispatches
-// against a peer breaker that just entered half-open: exactly one caller
-// may be admitted as the probe — a thundering herd onto a barely
-// recovering peer would re-kill it. Uses the same breaker construction
-// as the coordinator's peers with a controlled clock, and is meant to
-// run under -race.
-func TestCoordinatorBreakerHalfOpenSingleProbe(t *testing.T) {
-	base := time.Now()
-	var mu sync.Mutex
-	now := base
-	clock := func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	b := newBreaker(1, time.Second, clock)
-
-	b.failure()
-	if got := b.currentState(); got != breakerOpen {
-		t.Fatalf("breaker state %v after threshold failures, want open", got)
-	}
-	mu.Lock()
-	now = base.Add(2 * time.Second) // past the cooldown: next allow is half-open
-	mu.Unlock()
-
-	const racers = 8
-	start := make(chan struct{})
-	var admitted atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < racers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if b.allow() {
-				admitted.Add(1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := admitted.Load(); got != 1 {
-		t.Fatalf("half-open breaker admitted %d concurrent probes, want exactly 1", got)
-	}
-
-	// The lone probe's success closes the breaker for everyone.
-	b.success()
-	if got := b.currentState(); got != breakerClosed {
-		t.Fatalf("breaker state %v after successful probe, want closed", got)
-	}
-	if !b.allow() {
-		t.Fatal("closed breaker rejected traffic")
+	if len(h.Breakers) != 2 {
+		t.Fatalf("healthz breakers %v, want only decompose and solve", h.Breakers)
 	}
 }
 
@@ -210,29 +162,47 @@ func TestShardCacheKeySeparation(t *testing.T) {
 // TestQuantRidesExactCacheEntry pins the documented quant/cache
 // interaction: Quant is excluded from the cache key, so a quantized
 // request for a problem whose exact answer is already cached is served
-// from that entry — cached:true, quantized:false — and is
-// distinguishable from a quantized solve and from the overflow fallback
-// by exactly those two fields.
+// from that entry — cached:true, quantized:false, bitpacked:false — and
+// is distinguishable from a quantized solve and from the overflow
+// fallback by exactly those fields.
 func TestQuantRidesExactCacheEntry(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2})
-	req := SolveRequest{
+	checkQuantRidesExactCacheEntry(t, ts.URL, SolveRequest{
 		N: 10, Steps: 100, Seed: 41, Variant: "dsb",
 		Couplings: ringCouplings(10),
-	}
+	})
+}
 
-	exact := solveOK(t, ts.URL, req)
-	if exact.Cached || exact.Quantized {
-		t.Fatalf("cold exact dsb solve: cached=%v quantized=%v, want neither", exact.Cached, exact.Quantized)
+// TestBitpackRidesExactCacheEntry is the same contract on a dense 24-spin
+// glass, where a quant request would run the bit-plane kernels: it still
+// rides the exact entry with neither fast-path flag set.
+func TestBitpackRidesExactCacheEntry(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2})
+	checkQuantRidesExactCacheEntry(t, ts.URL, SolveRequest{
+		N: 24, Steps: 100, Seed: 47, Variant: "dsb",
+		Couplings: denseCouplings(24),
+	})
+}
+
+// checkQuantRidesExactCacheEntry solves the exact request cold, then
+// sends it again with Quant set and expects the cached exact answer.
+func checkQuantRidesExactCacheEntry(t *testing.T, url string, req SolveRequest) {
+	t.Helper()
+	exact := solveOK(t, url, req)
+	if exact.Cached || exact.Quantized || exact.BitPacked {
+		t.Fatalf("cold exact dsb solve: cached=%v quantized=%v bitpacked=%v, want none",
+			exact.Cached, exact.Quantized, exact.BitPacked)
 	}
 
 	qreq := req
 	qreq.Quant = true
-	rode := solveOK(t, ts.URL, qreq)
+	rode := solveOK(t, url, qreq)
 	if !rode.Cached {
 		t.Fatal("quant request did not ride the exact cache entry")
 	}
-	if rode.Quantized {
-		t.Fatal("cache-served response claims the fixed-point path ran")
+	if rode.Quantized || rode.BitPacked {
+		t.Fatalf("cache-served response claims a fast path ran: quantized=%v bitpacked=%v",
+			rode.Quantized, rode.BitPacked)
 	}
 	if rode.Energy != exact.Energy {
 		t.Fatalf("cache-served energy %v differs from the exact answer %v", rode.Energy, exact.Energy)
@@ -245,33 +215,53 @@ func TestQuantRidesExactCacheEntry(t *testing.T) {
 // the float engine.
 func TestQuantizedResultNeverCached(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2})
-	req := SolveRequest{
+	checkQuantizedNeverCached(t, ts.URL, SolveRequest{
 		N: 10, Steps: 100, Seed: 43, Variant: "dsb", Quant: true,
 		Couplings: ringCouplings(10),
-	}
+	}, false)
+}
 
-	q := solveOK(t, ts.URL, req)
+// TestBitpackedResultNeverCached: on a dense 24-spin glass a quant
+// request runs the bit-plane kernels (bitpacked:true), and like the
+// scalar quantized result it must never populate the shared cache slot.
+func TestBitpackedResultNeverCached(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2})
+	checkQuantizedNeverCached(t, ts.URL, SolveRequest{
+		N: 24, Steps: 100, Seed: 53, Variant: "dsb", Quant: true,
+		Couplings: denseCouplings(24),
+	}, true)
+}
+
+// checkQuantizedNeverCached solves the quant request cold, expecting
+// quantized:true and bitpacked == packed, then sends it without Quant and
+// expects a cold exact solve.
+func checkQuantizedNeverCached(t *testing.T, url string, req SolveRequest, packed bool) {
+	t.Helper()
+	q := solveOK(t, url, req)
 	if q.Cached {
 		t.Fatal("cold quantized solve served from cache")
 	}
 	if !q.Quantized {
-		t.Skip("quantized solve fell back to the float engine; nothing to assert")
+		t.Fatal("quant request fell back to the float engine")
+	}
+	if q.BitPacked != packed {
+		t.Fatalf("bitpacked=%v, want %v", q.BitPacked, packed)
 	}
 
 	exact := req
 	exact.Quant = false
-	e := solveOK(t, ts.URL, exact)
+	e := solveOK(t, url, exact)
 	if e.Cached {
 		t.Fatal("exact request was served the quantized result from cache")
 	}
-	if e.Quantized {
-		t.Fatal("exact request reports the fixed-point path")
+	if e.Quantized || e.BitPacked {
+		t.Fatalf("exact request reports a fast path: quantized=%v bitpacked=%v", e.Quantized, e.BitPacked)
 	}
 }
 
 // denseCouplings builds an all-pairs coupling list with deterministic
 // varied magnitudes — dense enough for the quantizer to pick the dense
-// layout and for the bit-pack density × width dispatch to accept it.
+// layout and, from 23 spins on, for a one-lane quant solve to pack it.
 func denseCouplings(n int) []Coupling {
 	cs := make([]Coupling, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
@@ -284,68 +274,4 @@ func denseCouplings(n int) []Coupling {
 		}
 	}
 	return cs
-}
-
-// TestBitpackRidesExactCacheEntry: bitpack inherits quant's cache-key
-// treatment wholesale — the flag is excluded from the key, so a
-// bit-packed request for a problem whose exact answer is already cached
-// rides that entry: cached:true with neither fast-path flag set.
-func TestBitpackRidesExactCacheEntry(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2})
-	req := SolveRequest{
-		N: 24, Steps: 100, Seed: 47, Variant: "dsb",
-		Couplings: denseCouplings(24),
-	}
-
-	exact := solveOK(t, ts.URL, req)
-	if exact.Cached || exact.Quantized || exact.BitPacked {
-		t.Fatalf("cold exact dsb solve: cached=%v quantized=%v bitpacked=%v, want none",
-			exact.Cached, exact.Quantized, exact.BitPacked)
-	}
-
-	breq := req
-	breq.BitPack = true
-	rode := solveOK(t, ts.URL, breq)
-	if !rode.Cached {
-		t.Fatal("bitpack request did not ride the exact cache entry")
-	}
-	if rode.Quantized || rode.BitPacked {
-		t.Fatalf("cache-served response claims a fast path ran: quantized=%v bitpacked=%v",
-			rode.Quantized, rode.BitPacked)
-	}
-	if rode.Energy != exact.Energy {
-		t.Fatalf("cache-served energy %v differs from the exact answer %v", rode.Energy, exact.Energy)
-	}
-}
-
-// TestBitpackedResultNeverCached: a bit-packed solve carries quantized
-// numerics, so like plain quant it must never populate the shared cache
-// slot — the next exact request still runs the float engine cold.
-func TestBitpackedResultNeverCached(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 2})
-	req := SolveRequest{
-		N: 24, Steps: 100, Seed: 53, Variant: "dsb", BitPack: true,
-		Couplings: denseCouplings(24),
-	}
-
-	b := solveOK(t, ts.URL, req)
-	if b.Cached {
-		t.Fatal("cold bit-packed solve served from cache")
-	}
-	if !b.Quantized {
-		t.Fatal("bitpack request skipped the quantized path entirely")
-	}
-	if !b.BitPacked {
-		t.Fatal("dense 24-spin instance rejected by the packing dispatch")
-	}
-
-	exact := req
-	exact.BitPack = false
-	e := solveOK(t, ts.URL, exact)
-	if e.Cached {
-		t.Fatal("exact request was served the bit-packed result from cache")
-	}
-	if e.Quantized || e.BitPacked {
-		t.Fatalf("exact request reports a fast path: quantized=%v bitpacked=%v", e.Quantized, e.BitPacked)
-	}
 }

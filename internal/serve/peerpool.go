@@ -30,6 +30,9 @@ var siteProbe = fault.NewSite("serve.peer.probe")
 // Healthy peers take new work first; suspect peers (one recent failure)
 // are eligible only when no healthy peer is free; quarantined peers take
 // no dispatches at all until a probe or a hedged success readmits them.
+// A probe readmission is on probation: the peer is healthy again but
+// stays one failure from quarantine until a dispatch succeeds, since a
+// green /readyz does not show that /v1/solve/batch works.
 type peerState int
 
 const (
@@ -59,19 +62,22 @@ const quarantineAfter = 3
 // fleet.
 const ewmaAlpha = 0.3
 
-// peerClient is one fleet member: the daemon's base URL, a dedicated
-// circuit breaker (one dead peer trips its own breaker and stops eating
-// per-sub-solve timeouts), and the mutex-guarded lifecycle/score state
-// the pool's placement decisions read.
+// peerClient is one fleet member: the daemon's base URL and the
+// mutex-guarded lifecycle/score state the pool's placement decisions
+// read. The lifecycle is the peer's only health state machine: a
+// quarantined peer takes no dispatches (the role an open circuit breaker
+// would play), and the first dispatch after a probe readmits it is its
+// half-open test.
 type peerClient struct {
-	url     string
-	breaker *breaker
+	url string
 	// idx is the peer's position in the configured fleet — the stable
 	// key the serve.peer.* failpoints use to sicken one member.
 	idx int
 
-	mu          sync.Mutex
-	state       peerState
+	mu    sync.Mutex
+	state peerState
+	// consecFails counts failures since the last success; a healthy peer
+	// with consecFails > 0 is on probation after a probe readmission.
 	consecFails int
 	inflight    int
 	// ewmaLatencyMS and errScore are the in-band quality signals: an
@@ -138,19 +144,27 @@ func (p *peerClient) noteFailure(sm *metrics.Sharding) {
 	}
 }
 
-// noteProbeSuccess records a green /readyz: a quarantined peer is
-// readmitted, a suspect one rehabilitated. Probe latency deliberately
-// does not enter the dispatch-latency EWMA — a probe is not a sub-solve.
+// noteProbeSuccess records a green /readyz: a suspect peer is
+// rehabilitated, and a quarantined one readmitted on probation — healthy,
+// but quarantineAfter-1 failures deep, so one failed dispatch
+// re-quarantines it and only a dispatch success (noteSuccess) clears the
+// streak; later probes leave the probation alone. Probe latency
+// deliberately does not enter the dispatch-latency EWMA — a probe is not
+// a sub-solve.
 func (p *peerClient) noteProbeSuccess(sm *metrics.Sharding) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.probes++
-	if p.state == peerQuarantined {
+	switch p.state {
+	case peerQuarantined:
 		p.readmissions++
 		sm.PeerReadmitted.Inc()
+		p.state = peerHealthy
+		p.consecFails = quarantineAfter - 1
+	case peerSuspect:
+		p.state = peerHealthy
+		p.consecFails = 0
 	}
-	p.state = peerHealthy
-	p.consecFails = 0
 }
 
 // noteProbeFailure records a failed /readyz, walking the same demotion
@@ -181,7 +195,6 @@ func (p *peerClient) snapshot() (state peerState, inflight int, ewmaMS float64) 
 // PeerHealth is one fleet member's entry in the /healthz payload.
 type PeerHealth struct {
 	State         string  `json:"state"` // "healthy", "suspect", "quarantined"
-	Breaker       string  `json:"breaker"`
 	InFlight      int     `json:"in_flight"`
 	EwmaLatencyMS float64 `json:"ewma_latency_ms"`
 	ErrorScore    float64 `json:"error_score"`
@@ -197,7 +210,6 @@ func (p *peerClient) health() PeerHealth {
 	defer p.mu.Unlock()
 	return PeerHealth{
 		State:         p.state.String(),
-		Breaker:       p.breaker.currentState().String(),
 		InFlight:      p.inflight,
 		EwmaLatencyMS: p.ewmaLatencyMS,
 		ErrorScore:    p.errScore,
@@ -211,7 +223,7 @@ func (p *peerClient) health() PeerHealth {
 
 // peerPool is the fleet manager: placement, health probing and the
 // hedge-threshold estimate over the configured peers. The peers slice is
-// shared with Server.peers (tests reach breakers through it) and is
+// shared with Server.peers (tests reach the members through it) and is
 // immutable after construction — membership changes are state changes on
 // the members, never slice mutations.
 type peerPool struct {

@@ -71,17 +71,19 @@ type Config struct {
 	// jittered sleep between attempts (default 50ms).
 	Retries      int
 	RetryBackoff time.Duration
-	// BreakerThreshold consecutive solver failures open an endpoint's
-	// circuit breaker (default 5; negative disables the breakers).
-	// While open, /v1/decompose serves the DALTA fallback directly and
-	// /v1/solve fails fast with 503; after BreakerCooldown (default 5s)
-	// a single probe request is let through.
+	// BreakerThreshold consecutive solver failures open the
+	// /v1/decompose or /v1/solve circuit breaker (default 5; negative
+	// disables the breakers). While open, /v1/decompose serves the DALTA
+	// fallback directly and /v1/solve fails fast with 503; after
+	// BreakerCooldown (default 5s) a single probe request is let through.
+	// Peers have no breaker: their fleet lifecycle quarantines them.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Peers lists peer daemon base URLs (e.g. "http://10.0.0.2:8080")
 	// for coordinator mode: a sharded /v1/solve request ("shard" > 0)
 	// dispatches its sub-solves across them over the same /v1/solve wire
-	// format, breaker-guarded per peer with bit-identical local fallback.
+	// format, with a per-peer health lifecycle (healthy, suspect,
+	// quarantined; probes readmit) and bit-identical local fallback.
 	// Empty keeps every sub-solve in-process.
 	Peers []string
 	// ShardTimeout is the per-shard peer deadline in coordinator mode
@@ -224,9 +226,9 @@ type Server struct {
 	decomposeBreaker *breaker
 	solveBreaker     *breaker
 
-	// peers are the coordinator-mode sub-solve targets (Config.Peers),
-	// each behind its own breaker; fleet is the pool managing their
-	// lifecycle, placement and hedging (nil without peers).
+	// peers are the coordinator-mode sub-solve targets (Config.Peers);
+	// fleet is the pool managing their lifecycle, placement and hedging
+	// (nil without peers).
 	peers []*peerClient
 	fleet *peerPool
 }
@@ -249,11 +251,7 @@ func New(cfg Config) *Server {
 		solveBreaker:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock.Now),
 	}
 	for i, url := range cfg.Peers {
-		s.peers = append(s.peers, &peerClient{
-			url:     url,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock.Now),
-			idx:     i,
-		})
+		s.peers = append(s.peers, &peerClient{url: url, idx: i})
 	}
 	if len(s.peers) > 0 {
 		s.fleet = newPeerPool(s.peers, cfg)
@@ -600,10 +598,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return err
 			}
-			// A diverged or all-failed batch has energy +Inf, which JSON
-			// cannot encode; the run is an error at this boundary (a retry
-			// helps when the cause was transient, e.g. an injected fault).
-			if res.StopReason == "diverged" || res.StopReason == "failed" {
+			// A diverged run has energy +Inf, which JSON cannot encode; the
+			// run is an error at this boundary (a retry helps when the cause
+			// was transient, e.g. an injected fault).
+			if res.StopReason == "diverged" {
 				return fmt.Errorf("solver %s: no finite-energy result (try rescue, a smaller dt, or more replicas)", res.StopReason)
 			}
 			return nil
@@ -722,7 +720,7 @@ func (s *Server) runBatchItem(r *http.Request, req *SolveRequest) SolveBatchItem
 			if err != nil {
 				return err
 			}
-			if res.StopReason == "diverged" || res.StopReason == "failed" {
+			if res.StopReason == "diverged" {
 				return fmt.Errorf("solver %s: no finite-energy result", res.StopReason)
 			}
 			return nil
@@ -838,9 +836,6 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	if req.Quant && opts.Variant != isinglut.DiscreteSB {
 		return nil, opts, fmt.Errorf("quant requires variant \"dsb\", got %q", req.Variant)
 	}
-	if req.BitPack && opts.Variant != isinglut.DiscreteSB {
-		return nil, opts, fmt.Errorf("bitpack requires variant \"dsb\", got %q", req.Variant)
-	}
 	opts.Steps = req.Steps
 	if req.Dt > 0 {
 		opts.Dt = req.Dt
@@ -851,9 +846,7 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	opts.DynamicStop = req.DynamicStop
 	opts.F, opts.S, opts.Epsilon = req.F, req.S, req.Epsilon
 	opts.Rescue = req.Rescue
-	opts.Sparse = req.Sparse
 	opts.Quantize = req.Quant
-	opts.BitPack = req.BitPack
 	if req.Shard < 0 {
 		return nil, opts, fmt.Errorf("shard must be non-negative, got %d", req.Shard)
 	}
@@ -889,9 +882,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"decompose": s.decomposeBreaker.currentState().String(),
 			"solve":     s.solveBreaker.currentState().String(),
 		},
-	}
-	for _, p := range s.peers {
-		h.Breakers["peer:"+p.url] = p.breaker.currentState().String()
 	}
 	if s.fleet != nil {
 		h.Peers = s.fleet.fleetHealth()

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -434,27 +436,42 @@ func ringCouplings(n int) []Coupling {
 	return cs
 }
 
-// TestSolveSparseSharesCacheSlot: the CSR coupler is bit-identical to the
-// dense one, so "sparse": true is excluded from the cache key — a sparse
-// request fills the slot its plain twin reads.
+// TestSolveSparseSharesCacheSlot: a sparse instance posted to /v1/solve
+// runs on the CSR coupler the server picks for it. The exact answer
+// enters the cache, so a repeat is served from the same slot, and it
+// is bit-identical to the in-process solve of its
+// NewSparseIsingProblem twin.
 func TestSolveSparseSharesCacheSlot(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	base := SolveRequest{
+	req := SolveRequest{
 		N: 12, Couplings: ringCouplings(12),
 		Steps: 300, Seed: 8, Replicas: 2,
 	}
-	sparseReq := base
-	sparseReq.Sparse = true
-	first := decodeBody[SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", sparseReq))
+	first := decodeBody[SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", req))
 	if first.Cached {
 		t.Fatal("first sparse request reported cached")
 	}
-	second := decodeBody[SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", base))
+	second := decodeBody[SolveResponse](t, postJSON(t, ts.URL+"/v1/solve", req))
 	if !second.Cached {
-		t.Fatal("plain request missed the cache slot its sparse twin filled")
+		t.Fatal("repeated sparse request missed the cache slot its first solve filled")
 	}
-	if second.Energy != first.Energy {
-		t.Fatalf("cached energy %g != sparse energy %g", second.Energy, first.Energy)
+
+	cs := make([]isinglut.IsingCoupling, len(req.Couplings))
+	for i, c := range req.Couplings {
+		cs[i] = isinglut.IsingCoupling{I: c.I, J: c.J, V: c.V}
+	}
+	twin, err := isinglut.NewSparseIsingProblem(req.N, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := isinglut.SolveIsing(twin, isinglut.SBOptions{Steps: req.Steps, Seed: req.Seed, Replicas: req.Replicas})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []SolveResponse{first, second} {
+		if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) || !slices.Equal(got.Spins, want.Spins) {
+			t.Fatalf("served energy %g spins %v != CSR twin energy %g spins %v", got.Energy, got.Spins, want.Energy, want.Spins)
+		}
 	}
 }
 

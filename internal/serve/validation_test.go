@@ -21,7 +21,7 @@ func TestSolveRequestValidation(t *testing.T) {
 		name    string
 		mutate  func(*SolveRequest)
 		mention string
-		raw     string // when set, posted verbatim instead of the mutated base
+		raw     string // posted verbatim when set ({"items": …} to /v1/solve/batch)
 	}{
 		{"negative timeout", func(r *SolveRequest) { r.TimeoutMS = -1 }, "timeout_ms", ""},
 		{"negative steps", func(r *SolveRequest) { r.Steps = -5 }, "steps", ""},
@@ -36,17 +36,25 @@ func TestSolveRequestValidation(t *testing.T) {
 			r.Couplings = []Coupling{{I: 0, J: 9, V: 1}}
 		}, "out of range", ""},
 		{"bias length mismatch", func(r *SolveRequest) { r.Biases = []float64{1} }, "biases", ""},
-		{"bitpack without dsb", func(r *SolveRequest) { r.BitPack = true }, "bitpack", ""},
-		// "fused" is not a request field: the strict decoder refuses it
-		// like any other unknown field.
+		// "fused", "sparse" and "bitpack" are not request fields (the
+		// instance picks its kernels): the strict decoder refuses them like
+		// any other unknown field.
 		{"fused field", nil, "fused", `{"n":4,"steps":10,"couplings":[{"i":0,"j":1,"v":1}],"fused":true}`},
+		{"sparse field", nil, "sparse", `{"n":4,"steps":10,"couplings":[{"i":0,"j":1,"v":1}],"sparse":true}`},
+		{"bitpack field", nil, "bitpack", `{"n":4,"steps":10,"variant":"dsb","quant":true,"couplings":[{"i":0,"j":1,"v":1}],"bitpack":true}`},
+		{"sparse batch item", nil, "sparse", `{"items":[{"n":4,"steps":10,"sparse":true}]}`},
+		{"bitpack batch item", nil, "bitpack", `{"items":[{"n":4,"steps":10,"variant":"dsb","quant":true,"bitpack":true}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp *http.Response
 			if tc.raw != "" {
+				path := "/v1/solve"
+				if strings.HasPrefix(tc.raw, `{"items"`) {
+					path += "/batch"
+				}
 				var err error
-				resp, err = http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.raw))
+				resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader(tc.raw))
 				if err != nil {
 					t.Fatal(err)
 				}

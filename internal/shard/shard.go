@@ -114,9 +114,9 @@ type Result struct {
 	// fixed-point kernels (Config.Base.Quantize accepted everywhere).
 	Quantized bool
 	// BitPacked reports that every successful sub-solve ran on the
-	// bit-packed popcount kernels (Config.Base.BitPack accepted
-	// everywhere — small shards may fall back to the scalar quantized
-	// kernels through the density × width dispatch, clearing it).
+	// bit-packed popcount kernels (the packing dispatch accepted every
+	// shard's codes — small or sparse shards stay on the scalar quantized
+	// kernels, clearing it).
 	BitPacked bool
 	// Stopped reports why the solve ended: StopConverged (Patience dry
 	// rounds), StopMaxIters (round budget), or StopCancelled/StopDeadline

@@ -18,10 +18,10 @@ import (
 // annealing) for unrelated combinatorial problems such as max-cut.
 //
 // The default builder (NewIsingProblem) stores the couplings densely:
-// n² float64 slots, which is the fastest representation up to a few
-// thousand spins. NewSparseIsingProblem stores them in CSR form instead,
-// so oversized sparse instances (n ≫ 10³) never materialize the dense
-// matrix at all — the combination that the sharded solver
+// n² float64 slots; an SB solve of a sparse enough dense-backed problem
+// runs on a CSR copy. NewSparseIsingProblem stores them in CSR form
+// instead, so oversized sparse instances (n ≫ 10³) never materialize the
+// dense matrix at all — the combination that the sharded solver
 // (SBOptions.MaxShard) is built for.
 type IsingProblem struct {
 	dense  *ising.Dense  // nil for sparse-backed problems
@@ -163,34 +163,19 @@ type SBOptions struct {
 	// energy +Inf. Off by default — a diverged run then reports
 	// StopReason "diverged" and IsingResult.Diverged.
 	Rescue bool
-	// Sparse routes the solve through the CSR sparse coupler when the
-	// problem's density is at or below the auto-pick threshold
-	// (ising.DefaultSparseDensity); denser problems keep the dense kernel.
-	// Results are bit-identical either way — the flag only changes the
-	// field-kernel cost, trading the dense kernel's n² streaming for an
-	// nnz-bound walk.
-	Sparse bool
 	// Quantize enables the int8/int16 fixed-point dSB fast path: the
 	// coupling is quantized once per solve and the per-step field product
 	// runs on integer accumulation, rescaling only at sample points
 	// (energies always evaluate against the exact float coupling).
 	// Requires Variant == DiscreteSB — the other variants need the
 	// continuous positions in the field product — and changes numerics
-	// within the envelope pinned by the differential tests.
-	// IsingResult.Quantized reports whether the fast path actually ran; a
-	// coupling that fails to quantize falls back to float64 silently.
+	// within the envelope pinned by the differential tests. The codes run
+	// on bit-plane popcount kernels when the instance's density, width
+	// and replica count favour them, on the scalar integer kernels
+	// otherwise, with bit-identical results. IsingResult.Quantized and
+	// BitPacked report what ran; a coupling that fails to quantize falls
+	// back to float64 silently.
 	Quantize bool
-	// BitPack layers the popcount fast path on top of Quantize: the
-	// quantized codes are re-packed into sign+magnitude bit-planes and
-	// every per-step field product runs on AND+POPCNT sweeps over packed
-	// ±1 spin masks — bit-identical to the Quantize path (same integer
-	// fields, same trajectories, same spins), so it changes throughput
-	// only. Requires Variant == DiscreteSB and implies Quantize.
-	// IsingResult.BitPacked reports whether the packed kernels actually
-	// ran: a coupling that fails to quantize falls back to float64, and
-	// one whose density × width heuristic rejects packing (tiny or very
-	// sparse instances) stays on the scalar quantized kernels.
-	BitPack bool
 	// MaxShard > 0 routes the solve through the shard-and-exchange
 	// decomposition layer: the coupling graph is split into subproblems
 	// of at most MaxShard spins (greedy |J|-weighted growth), each is
@@ -238,8 +223,8 @@ type IsingResult struct {
 	// Quantized reports that the solve ran on the fixed-point field
 	// kernels (SBOptions.Quantize accepted and the coupling quantized).
 	Quantized bool
-	// BitPacked reports that the solve ran on the bit-packed popcount
-	// kernels (SBOptions.BitPack accepted by the packing heuristic).
+	// BitPacked reports that those kernels were the bit-plane popcount
+	// ones (the packing heuristic accepted the instance).
 	BitPacked bool
 	// Shards is the partition size of a sharded solve (0 for a direct
 	// solve); ExchangeRounds the exchange rounds it executed.
@@ -301,17 +286,12 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 	if opts.Quantize && opts.Variant != DiscreteSB {
 		return IsingResult{}, fmt.Errorf("isinglut: Quantize requires the DiscreteSB variant (got %s)", opts.Variant)
 	}
-	if opts.BitPack && opts.Variant != DiscreteSB {
-		return IsingResult{}, fmt.Errorf("isinglut: BitPack requires the DiscreteSB variant (got %s)", opts.Variant)
-	}
 	params.Quantize = opts.Quantize
-	params.BitPack = opts.BitPack
 	prob := p.problem()
-	if opts.Sparse && p.dense != nil {
-		// Auto-pick: CSR when the instance is sparse enough to win, the
-		// original dense coupler otherwise. Bit-identical results either
-		// way, so the flag is purely a performance hint. (A sparse-backed
-		// problem is already CSR, so the flag is a no-op there.)
+	if p.dense != nil {
+		// The instance picks the coupler: CSR when it is sparse enough to
+		// win, the dense one otherwise. CSR skips only exact zeros, so the
+		// results are bit-identical either way.
 		prob.Coup = ising.CompactCoupler(p.dense)
 	}
 	replicas := 1
@@ -398,9 +378,6 @@ func SolveIsingShardedContext(ctx context.Context, p *IsingProblem, opts SBOptio
 	if opts.Quantize && opts.Variant != DiscreteSB {
 		return IsingResult{}, fmt.Errorf("isinglut: Quantize requires the DiscreteSB variant (got %s)", opts.Variant)
 	}
-	if opts.BitPack && opts.Variant != DiscreteSB {
-		return IsingResult{}, fmt.Errorf("isinglut: BitPack requires the DiscreteSB variant (got %s)", opts.Variant)
-	}
 	res, err := shard.Solve(ctx, p.problem(), shard.Config{
 		MaxShard: opts.MaxShard,
 		Rounds:   opts.ShardRounds,
@@ -445,7 +422,6 @@ func shardBaseParams(opts SBOptions) sb.Params {
 	}
 	base.RescueDiverged = opts.Rescue
 	base.Quantize = opts.Quantize
-	base.BitPack = opts.BitPack
 	if opts.DynamicStop {
 		f, s, eps := opts.F, opts.S, opts.Epsilon
 		if f <= 0 {

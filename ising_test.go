@@ -2,6 +2,7 @@ package isinglut_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"isinglut"
@@ -123,35 +124,54 @@ func TestIsingProblemBiasAndEnergy(t *testing.T) {
 	}
 }
 
-// TestSolveIsingSparseBitIdentity: the Sparse hint routes a low-density
-// instance onto the CSR coupler, which must not change a single bit of
-// the result — only which kernel streams J.
+// TestSolveIsingSparseBitIdentity: a dense-backed problem and its
+// NewSparseIsingProblem twin give bit-identical results. On a ~3%-dense
+// ring the dense-backed solve picks the CSR coupler itself; on a
+// half-dense glass it keeps the dense kernel while the twin walks CSR,
+// so the two kernels must agree to the last bit.
 func TestSolveIsingSparseBitIdentity(t *testing.T) {
-	n := 64
-	p := isinglut.NewIsingProblem(n)
+	const n = 64
+	rng := rand.New(rand.NewSource(5))
+	ring, glass := []isinglut.IsingCoupling{}, []isinglut.IsingCoupling{}
 	for i := 0; i < n; i++ {
-		p.SetCoupling(i, (i+1)%n, -1) // ring: ~3% dense, CSR auto-picks
+		ring = append(ring, isinglut.IsingCoupling{I: i, J: (i + 1) % n, V: -1})
+		for j := i + 1; j < n; j++ {
+			if rng.Float64() < 0.5 {
+				glass = append(glass, isinglut.IsingCoupling{I: i, J: j, V: rng.NormFloat64()})
+			}
+		}
 	}
-	for _, v := range []isinglut.SBVariant{isinglut.BallisticSB, isinglut.DiscreteSB} {
-		for _, replicas := range []int{1, 4} {
-			opts := isinglut.SBOptions{Variant: v, Steps: 300, Seed: 7, Replicas: replicas}
-			dense, err := isinglut.SolveIsing(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Sparse = true
-			sparse, err := isinglut.SolveIsing(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(dense.Energy) != math.Float64bits(sparse.Energy) ||
-				dense.Iterations != sparse.Iterations {
-				t.Fatalf("%v r=%d: dense (E=%.17g, it=%d) != sparse (E=%.17g, it=%d)",
-					v, replicas, dense.Energy, dense.Iterations, sparse.Energy, sparse.Iterations)
-			}
-			for i := range dense.Spins {
-				if dense.Spins[i] != sparse.Spins[i] {
-					t.Fatalf("%v r=%d: spins differ at %d", v, replicas, i)
+	for _, inst := range []struct {
+		name      string
+		couplings []isinglut.IsingCoupling
+	}{{"ring", ring}, {"glass", glass}} {
+		dense := isinglut.NewIsingProblem(n)
+		for _, c := range inst.couplings {
+			dense.SetCoupling(c.I, c.J, c.V)
+		}
+		twin, err := isinglut.NewSparseIsingProblem(n, inst.couplings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []isinglut.SBVariant{isinglut.BallisticSB, isinglut.DiscreteSB} {
+			for _, replicas := range []int{1, 4} {
+				opts := isinglut.SBOptions{Variant: v, Steps: 300, Seed: 7, Replicas: replicas}
+				a, err := isinglut.SolveIsing(dense, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := isinglut.SolveIsing(twin, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(a.Energy) != math.Float64bits(b.Energy) || a.Iterations != b.Iterations {
+					t.Fatalf("%s %v r=%d: dense-backed (E=%.17g, it=%d) != CSR twin (E=%.17g, it=%d)",
+						inst.name, v, replicas, a.Energy, a.Iterations, b.Energy, b.Iterations)
+				}
+				for i := range a.Spins {
+					if a.Spins[i] != b.Spins[i] {
+						t.Fatalf("%s %v r=%d: spins differ at %d", inst.name, v, replicas, i)
+					}
 				}
 			}
 		}

@@ -34,10 +34,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"isinglut/internal/anneal"
 	"isinglut/internal/core"
+	"isinglut/internal/fault"
 	"isinglut/internal/ilp"
 	"isinglut/internal/ising"
 	"isinglut/internal/partition"
@@ -221,9 +223,13 @@ func TestOracleSparseDenseBitIdentity(t *testing.T) {
 // the true ground energy to oracle tolerance (not merely to the
 // quantization envelope). This pins the envelope contract end to end:
 // kernel-level deviation is bounded (TestQuantizeErrorEnvelope), and
-// solve-level answers stay exact.
+// solve-level answers stay exact. The ising.bitpack.pack failpoint keeps
+// every trial on the scalar integer kernels;
+// TestOracleBitPackedGroundState covers the bit-planes.
 func TestOracleQuantizedEnvelope(t *testing.T) {
-	for _, trial := range []int{0, 1, 2, 5, 7, 8, 10, 11, 13, 14} {
+	defer fault.DisarmAll()
+	fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+	for _, trial := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14} {
 		p, seed := denseTrialProblem(trial)
 		_, ground := ising.BruteForce(p)
 
@@ -232,8 +238,8 @@ func TestOracleQuantizedEnvelope(t *testing.T) {
 		params.Seed = seed
 		params.Quantize = true
 		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16})
-		if !res.Quantized {
-			t.Fatalf("seed %d: quantized fast path not taken", seed)
+		if !res.Quantized || res.BitPacked {
+			t.Fatalf("seed %d: scalar quantized fast path not taken", seed)
 		}
 		if got := p.Energy(res.Spins); math.Abs(got-res.Energy) > oracleTol {
 			t.Errorf("seed %d: reported energy %.12f but spins evaluate to %.12f (exact J)", seed, res.Energy, got)
@@ -247,25 +253,69 @@ func TestOracleQuantizedEnvelope(t *testing.T) {
 	}
 }
 
+// padFerro embeds p in an n-spin dense problem: spins beyond p.N() form
+// a ferromagnetic block (every pair coupled +0.5, no bias) that does not
+// touch p's spins. Aligning the block is its unique ground state up to
+// a global flip, so the padded ground energy is p's minus half the
+// pad's pair count.
+func padFerro(p *ising.Problem, n int) (*ising.Problem, float64) {
+	m := p.N()
+	src := p.Coup.(*ising.Dense)
+	d := ising.NewDense(n)
+	h := make([]float64, n)
+	copy(h, p.H)
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			d.Set(i, j, src.At(i, j))
+		}
+	}
+	for i := m; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d.Set(i, j, 0.5)
+		}
+	}
+	out, err := ising.NewProblem(d, h, 0)
+	if err != nil {
+		panic(err)
+	}
+	return out, -0.5 * float64((n-m)*(n-m-1)/2)
+}
+
 // TestOracleBitPackedGroundState closes the loop on the popcount
-// engine: the bit-packed dSB batch is bit-identical to the quantized one
-// (pinned by the differential suites), so it must inherit the quantized
-// envelope result wholesale — exhaustively verified ground states, exact
-// reported energies. Trials are restricted to n ≥ 9, the smallest dense
-// instance the density × width dispatch accepts for int8 planes.
+// engine: the bit-packed dSB batch is bit-identical to the scalar
+// quantized one, so it must inherit the quantized envelope result —
+// exhaustively verified ground states, exact reported energies. The
+// dispatch packs a 16-lane int8 dense run from 36 spins on, too many to
+// enumerate, so each 6–12-spin oracle instance is padded to 48 spins
+// with a ferromagnetic block that does not touch it: the padded ground
+// energy is the brute-force one plus the block's closed-form minimum,
+// and a quantized solve of the whole picks the bit-planes. Every trial
+// must match its scalar run (the ising.bitpack.pack failpoint) bit for
+// bit and reach the padded ground state, which float dSB reaches on
+// every trial too.
 func TestOracleBitPackedGroundState(t *testing.T) {
-	for _, trial := range []int{3, 4, 5, 6, 10, 11, 12, 13} {
-		p, seed := denseTrialProblem(trial)
-		_, ground := ising.BruteForce(p)
+	defer fault.DisarmAll()
+	for trial := 0; trial < 14; trial++ {
+		block, seed := denseTrialProblem(trial)
+		_, ground := ising.BruteForce(block)
+		p, padGround := padFerro(block, 48)
+		ground += padGround
 
 		params := sb.DefaultParamsFor(sb.Discrete)
 		params.Steps = 2000
 		params.Seed = seed
-		params.BitPack = true
-		res, stats := sb.SolveBatch(context.Background(), p, sb.BatchParams{Base: params, Replicas: 16})
+		params.Quantize = true
+		bp := sb.BatchParams{Base: params, Replicas: 16}
+		res, stats := sb.SolveBatch(context.Background(), p, bp)
 		if !res.Quantized || !res.BitPacked {
 			t.Fatalf("seed %d: bit-packed fast path not taken (quantized=%v bitpacked=%v)",
 				seed, res.Quantized, res.BitPacked)
+		}
+		fault.MustArm("ising.bitpack.pack", fault.Scenario{Times: -1})
+		scalar, _ := sb.SolveBatch(context.Background(), p, bp)
+		fault.DisarmAll()
+		if math.Float64bits(scalar.Energy) != math.Float64bits(res.Energy) || !slices.Equal(scalar.Spins, res.Spins) {
+			t.Errorf("seed %d: packed energy %.17g differs from the scalar quantized run's %.17g", seed, res.Energy, scalar.Energy)
 		}
 		if got := p.Energy(res.Spins); math.Abs(got-res.Energy) > oracleTol {
 			t.Errorf("seed %d: reported energy %.12f but spins evaluate to %.12f (exact J)", seed, res.Energy, got)
