@@ -282,6 +282,26 @@ func BenchmarkCoreSolveN16(b *testing.B) {
 	b.ReportMetric(cost, "cost")
 }
 
+// BenchmarkCoreSolveN9 times one proposed core-COP solve at the Table 1
+// size that /v1/decompose serves (n = 9, |A| = 4: r = 16, c = 32, 64
+// spins). At this size the SB step weighs far more against the field
+// product than at the 768 spins of BenchmarkCoreSolveN16.
+func BenchmarkCoreSolveN9(b *testing.B) {
+	cop, err := experiments.SampleCOP("exp", 9, 4, 4, core.Joint, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultSolverOptions()
+	opts.SB.Stop = &sb.StopCriteria{F: 10, S: 10, Epsilon: 1e-8}
+	var cost float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cost = core.SolveBSB(context.Background(), cop, opts).Cost
+	}
+	b.ReportMetric(cost, "cost")
+}
+
 // BenchmarkParallelWorkers measures the DALTA outer loop's partition-level
 // parallelism (results are bit-identical to serial; only wall-clock
 // changes).

@@ -55,7 +55,7 @@ type report struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|BipartiteField|NewJointCOP|Theorem3", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|CoreSolveN9|BipartiteField|NewJointCOP|Theorem3|WallStep", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
 		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,./internal/core,.", "comma-separated packages to benchmark")
 	)
@@ -162,7 +162,8 @@ func cpuSuffix(name string) string {
 // sparse counterparts, the scalar quantized kernels vs their
 // bit-packed popcount versions (kernel-level and end-to-end), and the
 // two-pass twin Field and its Go kernel vs the AVX2 kernel (FieldU too),
-// and the Theorem-3 cost sums vs the sign of the U-side field.
+// the Theorem-3 cost sums vs the sign of the U-side field, and the Go SB
+// step vs the AVX2 step.
 func deriveSpeedups(results []benchResult) []speedup {
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
@@ -186,6 +187,7 @@ func deriveSpeedups(results []benchResult) []speedup {
 		{"BenchmarkBipartiteField/go", "BenchmarkBipartiteField/avx2"},
 		{"BenchmarkBipartiteField/go-u", "BenchmarkBipartiteField/avx2-u"},
 		{"BenchmarkTheorem3N16/costsums", "BenchmarkTheorem3N16/fieldsign"},
+		{"BenchmarkWallStep/go", "BenchmarkWallStep/avx2"},
 	}
 	var out []speedup
 	for _, r := range results {

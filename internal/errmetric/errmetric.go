@@ -7,6 +7,7 @@ package errmetric
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"isinglut/internal/prob"
 	"isinglut/internal/truthtable"
@@ -41,27 +42,43 @@ func Evaluate(exact, approx *truthtable.Table, dist prob.Distribution) (Report, 
 	m := exact.NumOutputs()
 	rep := Report{BitER: make([]float64, m)}
 	size := exact.Size()
-	for x := uint64(0); x < size; x++ {
-		p := dist.P(x)
-		a, b := exact.Output(x), approx.Output(x)
-		if a == b {
-			continue
-		}
-		rep.ER += p
-		var ed uint64
-		if a > b {
-			ed = a - b
-		} else {
-			ed = b - a
-		}
-		rep.MED += p * float64(ed)
-		if ed > rep.WorstED {
-			rep.WorstED = ed
-		}
-		diff := a ^ b
+	// The tables are read one 64-input word per component at a time (bit
+	// vectors keep the bits past their end zero); a block where every
+	// component agrees holds no error and is skipped. The differing inputs
+	// are then visited in ascending order, so every sum accumulates in the
+	// order of a plain scan over x.
+	var ew, aw [64]uint64
+	for base := uint64(0); base < size; base += 64 {
+		w := int(base >> 6)
+		var d uint64
 		for k := 0; k < m; k++ {
-			if diff&(1<<uint(k)) != 0 {
-				rep.BitER[k] += p
+			ew[k], aw[k] = exact.Component(k).Words()[w], approx.Component(k).Words()[w]
+			d |= ew[k] ^ aw[k]
+		}
+		for ; d != 0; d &= d - 1 {
+			j := uint(bits.TrailingZeros64(d))
+			var a, b uint64
+			for k := 0; k < m; k++ {
+				a |= (ew[k] >> j & 1) << uint(k)
+				b |= (aw[k] >> j & 1) << uint(k)
+			}
+			p := dist.P(base + uint64(j))
+			rep.ER += p
+			var ed uint64
+			if a > b {
+				ed = a - b
+			} else {
+				ed = b - a
+			}
+			rep.MED += p * float64(ed)
+			if ed > rep.WorstED {
+				rep.WorstED = ed
+			}
+			diff := a ^ b
+			for k := 0; k < m; k++ {
+				if diff&(1<<uint(k)) != 0 {
+					rep.BitER[k] += p
+				}
 			}
 		}
 	}

@@ -153,3 +153,71 @@ func TestWeightedZeroProbabilityRegionIgnored(t *testing.T) {
 		t.Fatalf("WorstED = %d", rep.WorstED)
 	}
 }
+
+// evaluateRef is Evaluate as a plain scan over every input, one output
+// word at a time, kept as the reference for the word-parallel scan.
+func evaluateRef(exact, approx *truthtable.Table, dist prob.Distribution) Report {
+	m := exact.NumOutputs()
+	rep := Report{BitER: make([]float64, m)}
+	for x := uint64(0); x < exact.Size(); x++ {
+		p := dist.P(x)
+		a, b := exact.Output(x), approx.Output(x)
+		if a == b {
+			continue
+		}
+		rep.ER += p
+		var ed uint64
+		if a > b {
+			ed = a - b
+		} else {
+			ed = b - a
+		}
+		rep.MED += p * float64(ed)
+		if ed > rep.WorstED {
+			rep.WorstED = ed
+		}
+		diff := a ^ b
+		for k := 0; k < m; k++ {
+			if diff&(1<<uint(k)) != 0 {
+				rep.BitER[k] += p
+			}
+		}
+	}
+	return rep
+}
+
+// TestEvaluateMatchesScan pins the word-parallel Evaluate to the plain
+// scan bit for bit: uniform and weighted distributions, n from 0 to 10
+// (partial and whole 64-input blocks), m up to 63, and approximations
+// that differ nowhere, on a few scattered inputs, on whole blocks or
+// almost everywhere.
+func TestEvaluateMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 3, 5, 6, 7, 9, 10} {
+		for _, m := range []int{1, 2, 7, 16, 40, 63} {
+			// flip < 0 flips one bit of every input in every third
+			// 64-input block, so whole blocks agree and whole blocks differ.
+			for _, flip := range []float64{0, 0.01, 0.3, 1, -1} {
+				exact := truthtable.Random(n, m, rng)
+				approx := exact.Clone()
+				for x := uint64(0); x < exact.Size(); x++ {
+					if rng.Float64() < flip || flip < 0 && (x>>6)%3 == 1 {
+						k := rng.Intn(m)
+						approx.SetBit(k, x, exact.Bit(k, x) == 0)
+					}
+				}
+				for _, dist := range []prob.Distribution{prob.NewUniform(n), prob.RandomWeighted(n, rng)} {
+					got, want := MustEvaluate(exact, approx, dist), evaluateRef(exact, approx, dist)
+					same := math.Float64bits(got.ER) == math.Float64bits(want.ER) &&
+						math.Float64bits(got.MED) == math.Float64bits(want.MED) && got.WorstED == want.WorstED
+					for k := range want.BitER {
+						same = same && math.Float64bits(got.BitER[k]) == math.Float64bits(want.BitER[k])
+					}
+					if !same {
+						t.Fatalf("n=%d m=%d flip=%v %T: Evaluate %+v, scan %+v", n, m, flip, dist, got, want)
+					}
+				}
+			}
+		}
+	}
+}

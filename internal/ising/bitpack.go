@@ -115,8 +115,9 @@ func newPlanes(q *Quantized, lanes int, force bool) (*Planes, bool) {
 // stored entries (n² in the dense code layout). Packing wins iff
 // k·(b+2)·groups ≤ stored, with the exchange rate k read off the
 // measured break-evens (EXPERIMENTS.md, "Kernels picked by the
-// instance"): 2.5 dense and 1.5 CSR at one lane, where no sign
-// transpose runs; 3.5 dense at two or three lanes; 4 dense from four
+// instance"): 2.5 dense and 1.5 CSR where FieldSignsBatch makes one
+// FieldSigns call per lane (perLaneCalls), so no sign transpose runs;
+// 3.5 dense for a batched sweep of two or three lanes; 4 dense from four
 // lanes on, where the scalar kernels tile four lanes in registers — and
 // int16 planes (b > 7), whose generic sweep is not unrolled, lose there
 // at any size. A batched CSR sweep also pays about half a group per row
@@ -125,21 +126,32 @@ func newPlanes(q *Quantized, lanes int, force bool) (*Planes, bool) {
 // ones pack.
 func packWins(dense bool, n, b, groups, stored, lanes int) bool {
 	cost := (b + 2) * groups
+	perLane := perLaneCalls(n, lanes)
 	switch {
 	case lanes >= 4 && b > 7:
 		return false
-	case dense && lanes == 1:
+	case dense && perLane:
 		return 5*cost <= 2*stored
 	case dense && lanes < 4:
 		return 7*cost <= 2*stored
 	case dense:
 		return 4*cost <= stored
-	case lanes == 1:
+	case perLane:
 		return 3*cost <= 2*stored
 	default:
 		return (b+2)*(2*groups+n) <= 2*stored
 	}
 }
+
+// perLaneCalls reports whether FieldSignsBatch runs r lanes of n spins as
+// one FieldSigns call each rather than as the bit-sliced sweep. The
+// slicing's 64×64 tile transposes cost the same for any r up to 64,
+// while the batched sweep saves a share of each lane's row work, so the
+// per-lane calls win on small blocks: always at one lane, and below four
+// lanes up to r·n = 128 lane spins. The cut is the tightest measured
+// break-even, int8 dense rows at three lanes (r·n ≈ 120–132); other
+// shapes keep winning somewhat further (EXPERIMENTS.md).
+func perLaneCalls(n, r int) bool { return r == 1 || r < 4 && r*n <= 128 }
 
 // planeCount returns B = bits needed for the largest |code|.
 func planeCount[T quantVal](codes []T) int {
@@ -409,13 +421,16 @@ func sliceToLaneMasks(sliced []uint64, n, r, w int, lmask []uint64) {
 // group block [sign, plane_0…plane_{B-1}] once across all lanes — one
 // AND+POPCNT per plane word advances 64 spins of one lane, and the block
 // stays in registers/L1 across the whole lane sweep. Bit-identical to
-// Quantized.FieldSignsBatch lane by lane; a single lane skips the
-// slicing and is one FieldSigns call.
+// Quantized.FieldSignsBatch lane by lane. A block of few lane spins
+// (perLaneCalls) skips the slicing and makes one FieldSigns call per
+// lane.
 func (p *Planes) FieldSignsBatch(sigma, out []float64, r int) {
 	n := p.n
 	checkBatchDims(n, len(sigma), len(out), r)
-	if r == 1 {
-		p.FieldSigns(sigma, out)
+	if perLaneCalls(n, r) {
+		for l := 0; l < r; l++ {
+			p.FieldSigns(sigma[l*n:l*n+n], out[l*n:l*n+n])
+		}
 		return
 	}
 	p.ensureScratch(r)

@@ -187,10 +187,11 @@ func TestFieldPlanesMatchesQuantScalar(t *testing.T) {
 
 // TestFieldPlanesBatchMatchesQuantBatch pins the replica-bit-sliced batch
 // kernel bitwise-equal to Quantized.FieldSignsBatch lane by lane, with the
-// replica counts straddling the 64-lane slice-group boundary.
+// replica counts straddling the 64-lane slice-group boundary, and two
+// or three lanes on both sides of the per-lane cut (perLaneCalls).
 func TestFieldPlanesBatchMatchesQuantBatch(t *testing.T) {
-	for _, n := range []int{64, 129, 256} {
-		for _, r := range []int{1, 63, 64, 65} {
+	for _, n := range []int{40, 64, 129, 256} {
+		for _, r := range []int{1, 2, 3, 63, 64, 65} {
 			q, ok := Quantize(randomDenseCoupler(n, int64(n)))
 			if !ok {
 				t.Fatalf("n=%d: Quantize failed", n)
@@ -231,12 +232,13 @@ func TestFieldPlanesBatchMatchesQuantBatch(t *testing.T) {
 
 // TestNewPlanesDispatchHeuristic pins the density × width × lanes
 // dispatch at the cutoffs where the packed kernels stopped losing to the
-// scalar ones (EXPERIMENTS.md): int8 dense rows pack from 23 spins at
-// one lane, 32 at two or three and 36 from four on; int16 planes stop
-// packing at four lanes; 20%-dense CSR rows stay scalar at one lane and
-// pack batched once they span several 64-column groups, 25%-dense ones
-// pack at one lane. Tiny dense instances, scattered very-sparse ones and
-// a nil input always reject.
+// scalar ones (EXPERIMENTS.md): int8 dense rows pack from 23 spins
+// below four lanes and 36 from four on; int16 rows pack from 43 spins
+// as per-lane calls (two lanes of 48) but not batched below 60 spins
+// (three lanes of 48), and stop packing at four lanes; 20%-dense CSR
+// rows stay scalar at one lane and pack batched once they span several
+// 64-column groups, 25%-dense ones pack at one lane. Tiny dense
+// instances, scattered very-sparse ones and a nil input always reject.
 func TestNewPlanesDispatchHeuristic(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -246,13 +248,16 @@ func TestNewPlanesDispatchHeuristic(t *testing.T) {
 	}{
 		{"dense n=22", randomDenseCoupler(22, 5), 1, false},
 		{"dense n=23", randomDenseCoupler(23, 5), 1, true},
-		{"dense n=31", randomDenseCoupler(31, 5), 2, false},
+		{"dense n=22", randomDenseCoupler(22, 5), 2, false},
+		{"dense n=23", randomDenseCoupler(23, 5), 3, true},
 		{"dense n=32", randomDenseCoupler(32, 5), 3, true},
 		{"dense n=35", randomDenseCoupler(35, 5), 4, false},
 		{"dense n=36", randomDenseCoupler(36, 5), 16, true},
 		{"dense n=64", randomDenseCoupler(64, 2), 1, true},
 		{"dense n=256", randomDenseCoupler(256, 1), 64, true},
 		{"dense n=4", randomDenseCoupler(4, 3), 1, false},
+		{"int16 n=48", int16Coupler(48, 3), 2, true},
+		{"int16 n=48", int16Coupler(48, 3), 3, false},
 		{"int16 n=128", int16Coupler(128, 3), 3, true},
 		{"int16 n=128", int16Coupler(128, 3), 4, false},
 		{"csr 20% n=256", NewSparseFromDense(randomSparseDense(256, 0.20, 6)), 1, false},

@@ -142,6 +142,11 @@ func (t *Twin) FieldU(x, out []float64) {
 	}
 }
 
+// HasAVX2 reports whether this CPU runs the AVX2 assembly kernels: the
+// result of the package's one CPUID probe, which package sb also reads
+// to pick its step kernel. Callers can read the choice, not change it.
+func HasAVX2() bool { return hasAVX2 }
+
 // fieldGo is Field's finite-block kernel in Go.
 func (t *Twin) fieldGo(x, out []float64) {
 	t.fieldUGo(x, out)

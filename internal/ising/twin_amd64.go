@@ -1,7 +1,7 @@
 package ising
 
-// hasAVX2 selects Twin.Field's assembly kernels. It is probed once, at
-// package initialization.
+// hasAVX2 selects Twin.Field's assembly kernels, and through HasAVX2
+// the SB step's. It is probed once, at package initialization.
 var hasAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether the CPU implements AVX2 and the operating

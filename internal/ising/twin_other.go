@@ -2,7 +2,8 @@
 
 package ising
 
-// hasAVX2 is false off amd64: Twin.Field always runs the Go kernels.
+// hasAVX2 is false off amd64: Twin.Field and the SB step always run
+// their Go kernels.
 const hasAVX2 = false
 
 // The assembly kernels exist only on amd64; fieldAVX2 and fieldUAVX2

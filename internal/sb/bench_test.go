@@ -132,3 +132,39 @@ func BenchmarkSolveFusedDSBSparseCSR(b *testing.B) {
 func BenchmarkSolveFusedDSBSparseQuant(b *testing.B) {
 	benchFusedDSB(b, func(n int) *ising.Problem { return randomSparseProblem(n, int64(n), true) }, true, false)
 }
+
+// BenchmarkWallStep times one bSB step of a biased lane on the Go body
+// and on the AVX2 body at the core-COP sizes of Table 1 (64 spins), the
+// shard sub-solves (256) and Fig. 4 (768). Every iteration first
+// restores the lane to one mid-ramp state (uniform positions, about a
+// third of them pushed past a wall by the step), so the wall outcomes
+// stay as mixed as in a solve instead of settling on the walls.
+func BenchmarkWallStep(b *testing.B) {
+	for _, body := range []string{"go", "avx2"} {
+		for _, n := range []int{64, 256, 768} {
+			b.Run(fmt.Sprintf("%s/n=%d", body, n), func(b *testing.B) {
+				if body == "avx2" && !ising.HasAVX2() {
+					b.Skip("CPU has no AVX2")
+				}
+				if body == "go" {
+					defer forceGoStep()()
+				}
+				rng := rand.New(rand.NewSource(int64(n)))
+				x0, y0 := make([]float64, n), make([]float64, n)
+				x, y, f, h := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+				for i := range x0 {
+					x0[i] = rng.Float64()*2 - 1
+					y0[i] = rng.NormFloat64() * 0.3
+					f[i] = rng.NormFloat64()
+					h[i] = rng.NormFloat64() * 0.3
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(x, x0)
+					copy(y, y0)
+					wallStep(x, y, f, h, nil, -0.5, 0.3, 1, 1)
+				}
+			})
+		}
+	}
+}

@@ -250,7 +250,7 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 		at := a0 * float64(iter) / float64(steps) // linear pump ramp 0 -> a0
 		ab := active * n
 
-		// Local field: J*x (+ h). dSB reads the sign lanes, which the
+		// Local field: J*x. dSB reads the sign lanes, which the
 		// integrator keeps equal to sign(x); the quantized paths consume
 		// the same sign lanes, so every dSB kernel sees identical spins.
 		switch {
@@ -265,15 +265,10 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 		default:
 			ising.FieldBatch(p.Coup, ws.x[:ab], ws.fld[:ab], active)
 		}
-		if p.H != nil {
-			for l := 0; l < active; l++ {
-				f := ws.fld[l*n : l*n+n]
-				for i, h := range p.H {
-					f[i] += h
-				}
-			}
-		}
 
+		// The step adds the bias to the field as it reads it: the biased
+		// field is never stored, and nothing reads fld before the next
+		// product or sample overwrites it.
 		for l := 0; l < active; l++ {
 			x := ws.x[l*n : l*n+n]
 			y := ws.y[l*n : l*n+n]
@@ -281,42 +276,18 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 			dt := ws.lanes[l].dt
 			switch params.Variant {
 			case Adiabatic:
-				for i := 0; i < n; i++ {
-					y[i] += dt * (-(x[i]*x[i]+a0-at)*x[i] + c0*f[i])
+				for i := range x {
+					fi := f[i]
+					if p.H != nil {
+						fi += p.H[i]
+					}
+					y[i] += dt * (-(x[i]*x[i]+a0-at)*x[i] + c0*fi)
 					x[i] += dt * a0 * y[i]
 				}
 			case Discrete:
-				s := ws.sgn[l*n : l*n+n]
-				for i := 0; i < n; i++ {
-					y[i] += dt * (-(a0-at)*x[i] + c0*f[i])
-					x[i] += dt * a0 * y[i]
-					if x[i] > 1 {
-						x[i] = 1
-						y[i] = 0
-					} else if x[i] < -1 {
-						x[i] = -1
-						y[i] = 0
-					}
-					// x is final for this step, so the sign here is the one
-					// the next step's field product reads.
-					if x[i] >= 0 {
-						s[i] = 1
-					} else {
-						s[i] = -1
-					}
-				}
+				wallStep(x, y, f, p.H, ws.sgn[l*n:l*n+n], -(a0 - at), c0, dt, dt*a0)
 			default: // Ballistic: inelastic walls at |x| = 1
-				for i := 0; i < n; i++ {
-					y[i] += dt * (-(a0-at)*x[i] + c0*f[i])
-					x[i] += dt * a0 * y[i]
-					if x[i] > 1 {
-						x[i] = 1
-						y[i] = 0
-					} else if x[i] < -1 {
-						x[i] = -1
-						y[i] = 0
-					}
-				}
+				wallStep(x, y, f, p.H, nil, -(a0 - at), c0, dt, dt*a0)
 			}
 		}
 
@@ -393,6 +364,7 @@ func (ws *Workspace) seedLane(l, n int, seed int64, amp float64) {
 // signsOf writes sign(x) as ±1 into s: 0 rounds to +1 and NaN to -1,
 // the rounding every dSB field kernel reads.
 func signsOf(x, s []float64) {
+	s = s[:len(x)]
 	for i, v := range x {
 		if v >= 0 {
 			s[i] = 1

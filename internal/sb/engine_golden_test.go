@@ -3,6 +3,7 @@ package sb
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -22,9 +23,17 @@ var update = flag.Bool("update", false, "rewrite testdata/engine.golden instead 
 // goldenProblem is a biased, half-dense 40-spin instance: dense enough
 // that its CSR copy passes the bit-plane heuristic, sparse enough that
 // the CSR walk differs from the dense one.
-func goldenProblem() *ising.Problem {
-	rng := rand.New(rand.NewSource(17))
-	const n = 40
+func goldenProblem() *ising.Problem { return biasedHalfDense(40, 17) }
+
+// goldenTailProblem is the same recipe at 43 spins: n mod 4 = 3, so a
+// four-wide step kernel leaves a three-spin tail on every lane.
+func goldenTailProblem() *ising.Problem { return biasedHalfDense(43, 23) }
+
+// biasedHalfDense draws an n-spin instance from seed: each coupling is
+// present with probability 1/2 and standard normal, each bias normal
+// with standard deviation 0.3.
+func biasedHalfDense(n int, seed int64) *ising.Problem {
+	rng := rand.New(rand.NewSource(seed))
 	d := ising.NewDense(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -42,6 +51,35 @@ func goldenProblem() *ising.Problem {
 		panic(err)
 	}
 	return p
+}
+
+// stateDigest is a read-only OnSample hook that hashes the bit patterns
+// of x and y at every sample point. The rounded outcomes the other rows
+// record are blind to drift below the rounding: the walls zero x and y,
+// so a perturbation of the last bit dies out before any sign or energy
+// sees it. The per-call FNV-1a digests are summed, so the total does not
+// depend on the order in which the engine visits lanes.
+type stateDigest struct {
+	sum   uint64
+	calls int
+}
+
+func (d *stateDigest) hook(iter int, x, y []float64) {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	put(uint64(iter))
+	for _, v := range x {
+		put(math.Float64bits(v))
+	}
+	for _, v := range y {
+		put(math.Float64bits(v))
+	}
+	d.sum += h.Sum64()
+	d.calls++
 }
 
 // steerHook is a deterministic, stateless OnSample hook: it clamps
@@ -134,11 +172,25 @@ func engineRow(ctx context.Context, p *ising.Problem, params Params, r int) stri
 // spin and trace digests, and each replica's energy bits, iterations,
 // stop reason and divergence flags. The file was generated by the
 // two-engine code (scalar SolveWith, goroutine and fused batches) and
-// pins the lane engine to it. Regenerate only for an intended change in
-// the dynamics:
+// pins the lane engine to it. The closing state rows hash every sampled
+// x and y bit (stateDigest) under bSB, aSB and dSB on the 40-spin
+// problem and a 43-spin one; they were generated by the scalar Go step
+// loops and pin the step kernels to them. Regenerate only for an
+// intended change in the dynamics:
 //
 //	go test ./internal/sb -run EngineTrajectoryGolden -update
+//
+// Each row is checked with the step body the CPU probe picks and again
+// with the Go body forced.
 func TestEngineTrajectoryGolden(t *testing.T) {
+	t.Run("probe", checkEngineGolden)
+	t.Run("go", func(t *testing.T) {
+		defer forceGoStep()()
+		checkEngineGolden(t)
+	})
+}
+
+func checkEngineGolden(t *testing.T) {
 	defer fault.DisarmAll()
 	dense := goldenProblem()
 	csr, err := ising.NewProblem(ising.NewSparseFromDense(dense.Coup.(*ising.Dense)), dense.H, 0)
@@ -231,6 +283,26 @@ func TestEngineTrajectoryGolden(t *testing.T) {
 					fmt.Fprintf(&buf, "dense %s %s every=%d r=%d %s\n", vc.name, c.name, every, r,
 						engineRow(c.ctx, dense, pr, r))
 					fault.DisarmAll()
+				}
+			}
+		}
+	}
+
+	for _, pc := range []struct {
+		name string
+		p    *ising.Problem
+	}{{"dense", dense}, {"tail43", goldenTailProblem()}} {
+		for _, vc := range variants[:3] {
+			for _, sc := range []int{0, 2} {
+				for _, r := range []int{1, 3} {
+					var d stateDigest
+					pr := params(vc.v, false, false)
+					pr.Stop = stops[sc].stop
+					pr.SampleEvery = 5
+					pr.OnSample = d.hook
+					row := engineRow(context.Background(), pc.p, pr, r)
+					fmt.Fprintf(&buf, "%s %s %s state r=%d calls=%d x/y=%016x %s\n", pc.name, vc.name, stops[sc].name, r,
+						d.calls, d.sum, row)
 				}
 			}
 		}
