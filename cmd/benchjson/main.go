@@ -8,9 +8,12 @@
 //
 // The tool shells out to `go test -bench` (so the numbers are exactly
 // what any contributor can reproduce) and parses the standard benchmark
-// output lines into {name, ns_op, allocs_op, runs} records, plus derived
-// speedup ratios for the baseline-vs-optimized kernel pairs. Serving
-// numbers come from perfbench's serve-decompose workload, not from here.
+// output lines into one record per benchmark: go test runs each
+// benchmark sampleCount times, and the record's ns_op is the median of
+// those samples, with their minimum and maximum beside it. Derived
+// speedup ratios for the baseline-vs-optimized kernel pairs compare
+// medians. Serving numbers come from perfbench's serve-decompose
+// workload, not from here.
 package main
 
 import (
@@ -21,18 +24,26 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// benchResult is one parsed benchmark line.
+// sampleCount is how many times go test runs each benchmark (its -count).
+const sampleCount = 5
+
+// benchResult is one benchmark's record: its samples (one parsed
+// benchmark line each) folded into the median ns/op and its range.
 type benchResult struct {
 	Name     string  `json:"name"`
-	Runs     int     `json:"runs"`
-	NsOp     float64 `json:"ns_op"`
-	AllocsOp int64   `json:"allocs_op"`
-	BytesOp  int64   `json:"bytes_op"`
+	Runs     int     `json:"runs"`  // iterations, summed over the samples
+	NsOp     float64 `json:"ns_op"` // the median sample
+	NsMin    float64 `json:"ns_min"`
+	NsMax    float64 `json:"ns_max"`
+	Samples  int     `json:"samples"`
+	AllocsOp int64   `json:"allocs_op"` // the largest sample
+	BytesOp  int64   `json:"bytes_op"`  // the largest sample
 }
 
 // speedup compares a baseline benchmark against its optimized
@@ -48,6 +59,7 @@ type report struct {
 	GeneratedAt string        `json:"generated_at"`
 	GoVersion   string        `json:"go_version"`
 	BenchTime   string        `json:"benchtime"`
+	Count       int           `json:"count"`
 	Results     []benchResult `json:"results"`
 	Speedups    []speedup     `json:"speedups"`
 }
@@ -75,6 +87,7 @@ func main() {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   goVersion(),
 		BenchTime:   *benchTime,
+		Count:       sampleCount,
 		Results:     results,
 		Speedups:    deriveSpeedups(results),
 	}
@@ -97,7 +110,8 @@ func main() {
 
 // runBench shells out to go test and parses the benchmark lines.
 func runBench(pkg, benchRe, benchTime string) ([]benchResult, error) {
-	cmd := exec.Command("go", "test", "-run=^$", "-bench="+benchRe, "-benchtime="+benchTime, "-benchmem", pkg)
+	cmd := exec.Command("go", "test", "-run=^$", "-bench="+benchRe, "-benchtime="+benchTime,
+		"-count="+strconv.Itoa(sampleCount), "-benchmem", pkg)
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
 	cmd.Stderr = os.Stderr
@@ -111,9 +125,12 @@ func runBench(pkg, benchRe, benchTime string) ([]benchResult, error) {
 //
 //	BenchmarkName-8   123   456789 ns/op   7 B/op   0 allocs/op
 //
-// tolerating extra custom metrics (MB/s) between the standard columns.
+// tolerating extra custom metrics (MB/s) between the standard columns,
+// and folds the lines of each benchmark into one record, in the order
+// the benchmarks first appear.
 func parseBench(r *bytes.Buffer) ([]benchResult, error) {
-	var out []benchResult
+	var names []string
+	samples := map[string][]benchResult{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -137,9 +154,37 @@ func parseBench(r *bytes.Buffer) ([]benchResult, error) {
 				res.AllocsOp, _ = strconv.ParseInt(val, 10, 64)
 			}
 		}
-		out = append(out, res)
+		if _, seen := samples[res.Name]; !seen {
+			names = append(names, res.Name)
+		}
+		samples[res.Name] = append(samples[res.Name], res)
+	}
+	out := make([]benchResult, 0, len(names))
+	for _, name := range names {
+		out = append(out, fold(samples[name]))
 	}
 	return out, sc.Err()
+}
+
+// fold merges one benchmark's samples into its record: ns_op is their
+// median (the mean of the middle two for an even count).
+func fold(samples []benchResult) benchResult {
+	res := benchResult{Name: samples[0].Name, Samples: len(samples)}
+	ns := make([]float64, len(samples))
+	for i, s := range samples {
+		ns[i] = s.NsOp
+		res.Runs += s.Runs
+		res.AllocsOp = max(res.AllocsOp, s.AllocsOp)
+		res.BytesOp = max(res.BytesOp, s.BytesOp)
+	}
+	slices.Sort(ns)
+	m := len(ns) / 2
+	res.NsOp = ns[m]
+	if len(ns)%2 == 0 {
+		res.NsOp = (ns[m-1] + ns[m]) / 2
+	}
+	res.NsMin, res.NsMax = ns[0], ns[len(ns)-1]
+	return res
 }
 
 // cpuSuffix returns the trailing -N GOMAXPROCS marker of a benchmark
@@ -161,9 +206,10 @@ func cpuSuffix(name string) string {
 // float dSB batch solve vs its quantized and
 // sparse counterparts, the scalar quantized kernels vs their
 // bit-packed popcount versions (kernel-level and end-to-end), and the
-// two-pass twin Field and its Go kernel vs the AVX2 kernel (FieldU too),
-// the Theorem-3 cost sums vs the sign of the U-side field, and the Go SB
-// step vs the AVX2 step.
+// two-pass twin Field and its Go kernel vs the AVX2 kernel and the AVX2
+// kernel vs the AVX-512 kernel (FieldU too), the Theorem-3 cost sums vs
+// the sign of the U-side field, and the Go SB step vs the AVX2 step.
+// Ratios compare the records' median ns/op.
 func deriveSpeedups(results []benchResult) []speedup {
 	byName := make(map[string]benchResult, len(results))
 	for _, r := range results {
@@ -186,6 +232,8 @@ func deriveSpeedups(results []benchResult) []speedup {
 		{"BenchmarkBipartiteField/twopass", "BenchmarkBipartiteField/avx2"},
 		{"BenchmarkBipartiteField/go", "BenchmarkBipartiteField/avx2"},
 		{"BenchmarkBipartiteField/go-u", "BenchmarkBipartiteField/avx2-u"},
+		{"BenchmarkBipartiteField/avx2", "BenchmarkBipartiteField/avx512"},
+		{"BenchmarkBipartiteField/avx2-u", "BenchmarkBipartiteField/avx512-u"},
 		{"BenchmarkTheorem3N16/costsums", "BenchmarkTheorem3N16/fieldsign"},
 		{"BenchmarkWallStep/go", "BenchmarkWallStep/avx2"},
 	}

@@ -252,9 +252,10 @@ func BenchmarkFieldColumnsBipartite(b *testing.B) {
 // BenchmarkBipartiteField compares the single-lane twin kernels, each
 // called directly, on the Fig. 4 core-COP shape (c = 512 column-type
 // spins against r = 128 pattern pairs) and the n = 9 serve shape
-// (32×16): the two-pass reference, the Go kernels and the AVX2 kernels
-// (skipped on CPUs without AVX2), for Field and for its U half alone
-// (FieldU, the Theorem-3 product). SetBytes counts the stored block Q.
+// (32×16): the two-pass reference, the Go kernels, the AVX2 kernels and
+// the AVX-512 kernels (each assembly set skipped on CPUs without it),
+// for Field and for its U half alone (FieldU, the Theorem-3 product).
+// SetBytes counts the stored block Q.
 func BenchmarkBipartiteField(b *testing.B) {
 	for _, s := range [][2]int{{512, 128}, {32, 16}} {
 		c, r := s[0], s[1]
@@ -264,18 +265,20 @@ func BenchmarkBipartiteField(b *testing.B) {
 		kernels := []struct {
 			name  string
 			field func(x, out []float64)
-			avx2  bool
+			runs  bool // the CPU has the kernel's instruction set
 		}{
-			{"twopass", tw.fieldTwoPass, false},
-			{"go", tw.fieldGo, false},
-			{"avx2", tw.fieldAVX2, true},
-			{"go-u", tw.fieldUGo, false},
-			{"avx2-u", tw.fieldUAVX2, true},
+			{"twopass", tw.fieldTwoPass, true},
+			{"go", tw.fieldGo, true},
+			{"avx2", tw.fieldAVX2, hasAVX2},
+			{"avx512", tw.fieldAVX512, hasAVX512},
+			{"go-u", tw.fieldUGo, true},
+			{"avx2-u", tw.fieldUAVX2, hasAVX2},
+			{"avx512-u", tw.fieldUAVX512, hasAVX512},
 		}
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/%dx%d", k.name, c, r), func(b *testing.B) {
-				if k.avx2 && !hasAVX2 {
-					b.Skip("CPU has no AVX2")
+				if !k.runs {
+					b.Skip("CPU lacks the kernel's instruction set")
 				}
 				b.ReportAllocs()
 				b.SetBytes(int64(8 * c * r))

@@ -18,7 +18,7 @@ import (
 //     Go kernels;
 //   - column-major panels of 32 U rows (panels[p*r + i*32 + k] =
 //     Q_{p+k,i} for the panel starting at row p), for the U-side dot
-//     products of the AVX2 kernel.
+//     products of the AVX2 and AVX-512 kernels.
 //
 // With these layouts both sides run as vertical multiply-then-add
 // chains, one output per vector lane, with no transposes.
@@ -93,9 +93,10 @@ func (t *Twin) At(i, j int) float64 {
 	return 0 - t.q[i*t.r+j-t.c-t.r]
 }
 
-// Field implements Coupler: out = J*x. On amd64 CPUs with AVX2 (probed
-// once at init) it runs the assembly kernels (fieldAVX2); elsewhere the
-// Go kernels (fieldGo).
+// Field implements Coupler: out = J*x. One CPUID probe at init picks
+// the kernels: on amd64 CPUs with AVX-512 the AVX-512 assembly
+// (fieldAVX512), on those with AVX2 the AVX2 assembly (fieldAVX2),
+// elsewhere Go (fieldGo).
 //
 // The result is bit-identical to the two-pass kernel on the c×2r block
 // [Q | 0−Q] (fieldTwoPass), which adds every output's terms in ascending
@@ -120,6 +121,8 @@ func (t *Twin) Field(x, out []float64) {
 	switch {
 	case !t.AllFinite():
 		t.fieldTwoPass(x, out)
+	case hasAVX512:
+		t.fieldAVX512(x, out)
 	case hasAVX2:
 		t.fieldAVX2(x, out)
 	default:
@@ -135,6 +138,8 @@ func (t *Twin) FieldU(x, out []float64) {
 	switch {
 	case !t.AllFinite():
 		t.dotsTwoPass(x, out)
+	case hasAVX512:
+		t.fieldUAVX512(x, out)
 	case hasAVX2:
 		t.fieldUAVX2(x, out)
 	default:
@@ -142,16 +147,17 @@ func (t *Twin) FieldU(x, out []float64) {
 	}
 }
 
-// HasAVX2 reports whether this CPU runs the AVX2 assembly kernels: the
-// result of the package's one CPUID probe, which package sb also reads
-// to pick its step kernel. Callers can read the choice, not change it.
+// HasAVX2 reports whether this CPU has AVX2: the result of the package's
+// one CPUID probe, which package sb also reads to pick its step kernel
+// (Twin.Field runs its AVX-512 kernels instead where the CPU has those
+// too). Callers can read the choice, not change it.
 func HasAVX2() bool { return hasAVX2 }
 
 // fieldGo is Field's finite-block kernel in Go.
 func (t *Twin) fieldGo(x, out []float64) {
 	t.fieldUGo(x, out)
 	t.fieldWCols(x, out, 0)
-	t.negateW2(out)
+	t.negateW2(out, 0)
 }
 
 // fieldUGo is FieldU's finite-block kernel in Go.
@@ -161,17 +167,37 @@ func (t *Twin) fieldUGo(x, out []float64) { t.fieldURows(x, out, 0) }
 // check hasAVX2.
 func (t *Twin) fieldAVX2(x, out []float64) {
 	t.fieldUAVX2(x, out)
+	t.fieldWAVX2(x, out, 0)
+}
+
+// fieldAVX512 is Field's finite-block kernel for AVX-512 CPUs: 64 W
+// columns per AVX-512 call, the rest as in fieldAVX2. Callers must
+// check hasAVX512.
+func (t *Twin) fieldAVX512(x, out []float64) {
+	t.fieldUAVX512(x, out)
 	c, r := t.c, t.r
-	xu, o := x[:c], out[c:c+r]
+	xu, o1, o2 := x[:c], out[c:c+r], out[c+r:c+2*r]
 	i := 0
+	for ; i+64 <= r; i += 64 {
+		twinRank1x64AVX512(t.q[i:], r, xu, (*[64]float64)(o1[i:i+64]), (*[64]float64)(o2[i:i+64]))
+	}
+	t.fieldWAVX2(x, out, i)
+}
+
+// fieldWAVX2 writes out_W1 and out_W2 for columns i..r-1: 16 and then 4
+// columns per AVX2 call, each storing its W2 twins, then Go for the
+// last r mod 4 columns. Callers must check hasAVX2.
+func (t *Twin) fieldWAVX2(x, out []float64, i int) {
+	c, r := t.c, t.r
+	xu, o1, o2 := x[:c], out[c:c+r], out[c+r:c+2*r]
 	for ; i+16 <= r; i += 16 {
-		twinRank1x16AVX2(t.q[i:], r, xu, (*[16]float64)(o[i:i+16]))
+		twinRank1x16AVX2(t.q[i:], r, xu, (*[16]float64)(o1[i:i+16]), (*[16]float64)(o2[i:i+16]))
 	}
 	for ; i+4 <= r; i += 4 {
-		twinRank1x4AVX2(t.q[i:], r, xu, (*[4]float64)(o[i:i+4]))
+		twinRank1x4AVX2(t.q[i:], r, xu, (*[4]float64)(o1[i:i+4]), (*[4]float64)(o2[i:i+4]))
 	}
 	t.fieldWCols(x, out, i)
-	t.negateW2(out)
+	t.negateW2(out, i)
 }
 
 // fieldUAVX2 is FieldU's finite-block kernel for AVX2 CPUs: the
@@ -183,6 +209,18 @@ func (t *Twin) fieldUAVX2(x, out []float64) {
 	j := 0
 	for ; j+twinPanel <= c; j += twinPanel {
 		twinPanelAVX2(t.panels[j*r:(j+twinPanel)*r], x1, x2, (*[twinPanel]float64)(out[j:j+twinPanel]))
+	}
+	t.fieldURows(x, out, j)
+}
+
+// fieldUAVX512 is fieldUAVX2 with the AVX-512 panel kernel. Callers
+// must check hasAVX512.
+func (t *Twin) fieldUAVX512(x, out []float64) {
+	c, r := t.c, t.r
+	x1, x2 := x[c:c+r], x[c+r:c+2*r]
+	j := 0
+	for ; j+twinPanel <= c; j += twinPanel {
+		twinPanelAVX512(t.panels[j*r:(j+twinPanel)*r], x1, x2, (*[twinPanel]float64)(out[j:j+twinPanel]))
 	}
 	t.fieldURows(x, out, j)
 }
@@ -272,11 +310,12 @@ func (t *Twin) fieldWCols(x, out []float64, i0 int) {
 	}
 }
 
-// negateW2 sets out_W2 = 0 − out_W1 (see Field for why 0 − v).
-func (t *Twin) negateW2(out []float64) {
+// negateW2 sets out_W2 = 0 − out_W1 (see Field for why 0 − v) for
+// columns i0..r-1.
+func (t *Twin) negateW2(out []float64, i0 int) {
 	c, r := t.c, t.r
-	o1 := out[c : c+r]
-	o2 := out[c+r : c+2*r][:len(o1)]
+	o1 := out[c+i0 : c+r]
+	o2 := out[c+r+i0 : c+2*r][:len(o1)]
 	for i, v := range o1 {
 		o2[i] = 0 - v
 	}

@@ -9,7 +9,8 @@
 // ascending rows. No sum is reassociated, an IEEE product is
 // exact-rounded whichever operand comes first, and no FMA is used
 // (VMULPD then VADDPD or VSUBPD rounds twice, as the scalar code does),
-// so every bit matches.
+// so every bit matches. The rank-1 kernels also store each W1 sum's W2
+// twin, 0 − v (VSUBPD from a zeroed register), as negateW2 does.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -104,14 +105,22 @@ panelDone:
 	VZEROUPPER
 	RET
 
-// func twinRank1x16AVX2(q []float64, stride int, xu []float64, s *[16]float64)
-TEXT ·twinRank1x16AVX2(SB), NOSPLIT, $0-64
+// STOREW2 stores the four column sums acc at off(DI) and their W2
+// twins, 0 − acc with +0 in Y8, at off(R9).
+#define STOREW2(acc, off) \
+	VMOVUPD acc, off(DI); \
+	VSUBPD  acc, Y8, Y9;  \
+	VMOVUPD Y9, off(R9)
+
+// func twinRank1x16AVX2(q []float64, stride int, xu []float64, s1, s2 *[16]float64)
+TEXT ·twinRank1x16AVX2(SB), NOSPLIT, $0-72
 	MOVQ q_base+0(FP), SI
 	MOVQ stride+24(FP), DX
 	SHLQ $3, DX
 	MOVQ xu_base+32(FP), AX
 	MOVQ xu_len+40(FP), CX
-	MOVQ s+56(FP), DI
+	MOVQ s1+56(FP), DI
+	MOVQ s2+64(FP), R9
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -136,21 +145,23 @@ rank16Loop:
 	JNZ          rank16Loop
 
 rank16Done:
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
+	VXORPD Y8, Y8, Y8
+	STOREW2(Y0, 0)
+	STOREW2(Y1, 32)
+	STOREW2(Y2, 64)
+	STOREW2(Y3, 96)
 	VZEROUPPER
 	RET
 
-// func twinRank1x4AVX2(q []float64, stride int, xu []float64, s *[4]float64)
-TEXT ·twinRank1x4AVX2(SB), NOSPLIT, $0-64
+// func twinRank1x4AVX2(q []float64, stride int, xu []float64, s1, s2 *[4]float64)
+TEXT ·twinRank1x4AVX2(SB), NOSPLIT, $0-72
 	MOVQ q_base+0(FP), SI
 	MOVQ stride+24(FP), DX
 	SHLQ $3, DX
 	MOVQ xu_base+32(FP), AX
 	MOVQ xu_len+40(FP), CX
-	MOVQ s+56(FP), DI
+	MOVQ s1+56(FP), DI
+	MOVQ s2+64(FP), R9
 
 	VXORPD Y0, Y0, Y0
 	TESTQ  CX, CX
@@ -166,6 +177,7 @@ rank4Loop:
 	JNZ          rank4Loop
 
 rank4Done:
-	VMOVUPD Y0, (DI)
+	VXORPD Y8, Y8, Y8
+	STOREW2(Y0, 0)
 	VZEROUPPER
 	RET

@@ -75,36 +75,50 @@ type twinKernel struct {
 	field, fieldU func(x, out []float64)
 }
 
-// finiteKernels lists the finite-block kernels that run on this host:
-// the Go kernels everywhere, the AVX2 assembly kernels where the CPU has
-// them.
+// finiteKernels lists the finite-block kernels that run on this host,
+// each called directly: the Go kernels everywhere, the AVX2 assembly
+// kernels where the CPU has AVX2 (AVX-512 hosts included, though Field
+// runs the AVX-512 ones there) and the AVX-512 kernels where it has
+// AVX-512.
 func finiteKernels(b *Twin) map[string]twinKernel {
 	k := map[string]twinKernel{"go": {b.fieldGo, b.fieldUGo}}
 	if hasAVX2 {
 		k["avx2"] = twinKernel{b.fieldAVX2, b.fieldUAVX2}
 	}
+	if hasAVX512 {
+		k["avx512"] = twinKernel{b.fieldAVX512, b.fieldUAVX512}
+	}
 	return k
 }
 
 // twinShapes are the c×r shapes the kernel tests cover: every U row
-// count up to two 32-row panels and a remainder (c = 1…70), every W
-// column remainder of the 16- and 4-column AVX2 blocks, the n = 9 serve
-// shape (32×16) and the Fig. 4 core-COP shape (512×128).
+// count up to three 32-row panels and a remainder (c = 1…97) against
+// every W column remainder of the 64-, 16- and 4-column assembly
+// blocks, plus the n = 9 serve shape (32×16) and the Fig. 4 core-COP
+// shape (512×128). Below 64 columns every c runs; from 64 columns on,
+// c steps through 1, 2, 3, every seventh count and the panel edges 31,
+// 32, 33, 63, 64, 65, 95, 96 and 97, which keeps the run short.
 func twinShapes() [][2]int {
 	var shapes [][2]int
-	for c := 1; c <= 70; c++ {
+	for c := 1; c <= 97; c++ {
 		for _, r := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33} {
+			shapes = append(shapes, [2]int{c, r})
+		}
+		if c > 3 && c%7 != 0 && (c+1)%32 > 2 {
+			continue
+		}
+		for _, r := range []int{63, 64, 65, 96, 127, 128, 129} {
 			shapes = append(shapes, [2]int{c, r})
 		}
 	}
 	return append(shapes, [2]int{32, 16}, [2]int{512, 128})
 }
 
-// TestBipartiteFieldTiledBitIdentical pins both finite-block kernel
-// pairs, Go and AVX2, to the two-pass kernel on every twinShapes shape,
-// on inputs holding exact ±0, ±1, NaN and ±Inf, including vectors whose
-// U side is entirely ±0, and pins each FieldU kernel to the U half of
-// its Field kernel.
+// TestBipartiteFieldTiledBitIdentical pins every finite-block kernel
+// pair that runs on the host (Go, AVX2 and AVX-512) to the two-pass
+// kernel on every twinShapes shape, on inputs holding exact ±0, ±1, NaN
+// and ±Inf, including vectors whose U side is entirely ±0, and pins
+// each FieldU kernel to the U half of its Field kernel.
 func TestBipartiteFieldTiledBitIdentical(t *testing.T) {
 	for _, s := range twinShapes() {
 		c, r := s[0], s[1]
@@ -163,12 +177,15 @@ func assertFieldUMatchesField(t testing.TB, b *Twin, field, fieldU func(x, out [
 	}
 }
 
-// TestAVX2ProbeMatchesCPUInfo guards the CPUID/XGETBV probe: on a Linux
-// host whose /proc/cpuinfo lists AVX2, the probe must report it, or
-// Field would fall back to the Go kernels unnoticed. Linux hides the
-// osxsave flag from /proc/cpuinfo, so xsave stands in for it: Linux
-// drops avx and avx2 from the list when it does not enable XSAVE.
-func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
+// cpuInfoFlags returns the first flags line of /proc/cpuinfo as a set,
+// after logging which kernel sets the probe picked, so a verbose run
+// shows them. It skips the test off Linux or when the file is missing.
+// Linux hides the osxsave flag from /proc/cpuinfo, so xsave stands in
+// for it: Linux drops avx, avx2 and avx512f from the list when it does
+// not enable XSAVE, and avx512f when it does not save the ZMM state.
+func cpuInfoFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	t.Logf("probe: avx2=%v avx512=%v", hasAVX2, hasAVX512)
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/cpuinfo")
 	}
@@ -185,11 +202,32 @@ func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
 			break
 		}
 	}
+	return flags
+}
+
+// TestAVX2ProbeMatchesCPUInfo guards the CPUID/XGETBV probe: on a Linux
+// host whose /proc/cpuinfo lists AVX2, the probe must report it, or
+// Field would fall back to the Go kernels unnoticed.
+func TestAVX2ProbeMatchesCPUInfo(t *testing.T) {
+	flags := cpuInfoFlags(t)
 	if !flags["avx2"] || !(flags["osxsave"] || flags["xsave"]) {
 		t.Skip("/proc/cpuinfo lists no avx2 with OS-enabled XSAVE")
 	}
 	if !hasAVX2 {
 		t.Fatal("/proc/cpuinfo lists avx2 and xsave, but the CPUID probe reports no AVX2")
+	}
+}
+
+// TestAVX512ProbeMatchesCPUInfo is TestAVX2ProbeMatchesCPUInfo for the
+// AVX-512 kernels: a Linux host whose /proc/cpuinfo lists avx512f must
+// run them.
+func TestAVX512ProbeMatchesCPUInfo(t *testing.T) {
+	flags := cpuInfoFlags(t)
+	if !flags["avx512f"] || !(flags["osxsave"] || flags["xsave"]) {
+		t.Skip("/proc/cpuinfo lists no avx512f with OS-enabled XSAVE")
+	}
+	if !hasAVX512 {
+		t.Fatal("/proc/cpuinfo lists avx512f and xsave, but the CPUID probe reports no AVX-512")
 	}
 }
 
@@ -226,18 +264,22 @@ func TestBipartiteFieldNonFiniteTakesTwoPass(t *testing.T) {
 }
 
 // FuzzBipartiteField compares Field and FieldU, and on finite blocks
-// each finite-block kernel, with the two-pass kernel on random twin
-// shapes (up to two 32-row panels and a remainder, every W column
-// remainder), positions drawn partly from fieldSpecials, exact-zero
-// couplings, and (when poison is odd) one non-finite coupling.
+// each finite-block kernel (Go, AVX2 and AVX-512, as the host runs
+// them), with the two-pass kernel on random twin shapes (up to three
+// 32-row panels and a remainder, every W column remainder of the
+// assembly blocks up to 130 columns), positions drawn partly from
+// fieldSpecials, exact-zero couplings, and (when poison is odd) one
+// non-finite coupling.
 func FuzzBipartiteField(f *testing.F) {
 	f.Add(uint8(3), uint8(7), int64(1), uint8(30), uint8(0))
 	f.Add(uint8(8), uint8(1), int64(2), uint8(100), uint8(1))
 	f.Add(uint8(0), uint8(0), int64(3), uint8(0), uint8(0))
 	f.Add(uint8(13), uint8(40), int64(4), uint8(50), uint8(3))
 	f.Add(uint8(69), uint8(32), int64(5), uint8(20), uint8(0))
+	f.Add(uint8(96), uint8(128), int64(6), uint8(30), uint8(0))
+	f.Add(uint8(40), uint8(100), int64(7), uint8(60), uint8(0))
 	f.Fuzz(func(t *testing.T, cRaw, rRaw uint8, seed int64, specialPct, poison uint8) {
-		c, r := 1+int(cRaw)%70, 1+int(rRaw)%40
+		c, r := 1+int(cRaw)%100, 1+int(rRaw)%130
 		rng := rand.New(rand.NewSource(seed))
 		b := NewTwin(c, r)
 		col := make([]float64, c)

@@ -332,6 +332,21 @@ func TestChaosEverySiteFires(t *testing.T) {
 	}
 	resp.Body.Close()
 	fault.DisarmAll()
+	// The hedged solve returns on its first good outcome and cancels the
+	// loser without waiting for it. A loser whose response had already
+	// arrived still records a success, which would readmit peer 0 after
+	// the probe below demotes it. A dispatch releases its in-flight slot
+	// only after that lifecycle update, so once both peers read zero in
+	// flight no late success can land.
+	deadline := time.Now().Add(5 * time.Second)
+	for i, p := range fs.peers {
+		for _, inflight, _ := p.snapshot(); inflight != 0; _, inflight, _ = p.snapshot() {
+			if time.Now().After(deadline) {
+				t.Fatalf("peer %d still has %d dispatches in flight after the hedged solve", i, inflight)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// serve.peer.probe: a dropped /readyz demotes the keyed member to
 	// suspect; the next clean sweep readmits it to healthy.
