@@ -22,16 +22,20 @@ package isinglut_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"isinglut/internal/anneal"
 	"isinglut/internal/benchfn"
 	"isinglut/internal/core"
 	"isinglut/internal/dalta"
+	"isinglut/internal/errmetric"
 	"isinglut/internal/experiments"
 	"isinglut/internal/hobo"
 	"isinglut/internal/ising"
+	"isinglut/internal/prob"
 	"isinglut/internal/sb"
+	"isinglut/internal/truthtable"
 )
 
 // benchScale keeps individual sub-benchmarks around a second.
@@ -300,6 +304,78 @@ func BenchmarkCoreSolveN9(b *testing.B) {
 		cost = core.SolveBSB(context.Background(), cop, opts).Cost
 	}
 	b.ReportMetric(cost, "cost")
+}
+
+// BenchmarkEvaluateN16 times one error evaluation of a real Fig. 4
+// outcome against its exact table (fig4Outcome): a decomposition runs
+// two, the round's MED and Verify's check. The uniform row takes
+// Evaluate's counted path, as every Fig. 4 run does; the per-input row
+// hands it the same distribution behind a type it does not know
+// (opaqueDist), so it adds P input by input, as under a weighted one.
+func BenchmarkEvaluateN16(b *testing.B) {
+	exact, out := fig4Outcome(b)
+	for _, bc := range []struct {
+		name string
+		dist prob.Distribution
+	}{{"uniform", nil}, {"per-input", opaqueDist{prob.NewUniform(16)}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var rep errmetric.Report
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep = errmetric.MustEvaluate(exact, out.Approx, bc.dist)
+			}
+			b.ReportMetric(rep.MED, "MED")
+		})
+	}
+}
+
+// opaqueDist hides a distribution's concrete type.
+type opaqueDist struct{ prob.Distribution }
+
+// BenchmarkVerifyN16 times dalta.Verify on a real Fig. 4 outcome
+// (fig4Outcome): sixteen recompositions and decomposability checks and
+// one evaluation.
+func BenchmarkVerifyN16(b *testing.B) {
+	exact, out := fig4Outcome(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := dalta.Verify(exact, out, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var (
+	fig4OutcomeOnce  sync.Once
+	fig4OutcomeExact *truthtable.Table
+	fig4OutcomeOut   *dalta.Outcome
+)
+
+// fig4Outcome returns the 16-input cos and one decomposition of it as
+// perfbench's fig4-n16 workload runs one: the quick-scale proposed
+// solver, joint mode, |A| = 7, one partition and one round. It is built
+// once per process.
+func fig4Outcome(b *testing.B) (*truthtable.Table, *dalta.Outcome) {
+	b.Helper()
+	fig4OutcomeOnce.Do(func() {
+		exact, err := benchfn.Build("cos", 16)
+		if err != nil {
+			panic(err)
+		}
+		solver, err := experiments.QuickScale(16).Solver("proposed")
+		if err != nil {
+			panic(err)
+		}
+		out, err := dalta.Run(context.Background(), exact, dalta.Config{
+			Rounds: 1, Partitions: 1, FreeSize: 7, Mode: core.Joint, Solver: solver, Seed: 21, Workers: 1,
+		})
+		if err != nil {
+			panic(err)
+		}
+		fig4OutcomeExact, fig4OutcomeOut = exact, out
+	})
+	return fig4OutcomeExact, fig4OutcomeOut
 }
 
 // BenchmarkParallelWorkers measures the DALTA outer loop's partition-level

@@ -8,12 +8,14 @@
 //
 // The tool shells out to `go test -bench` (so the numbers are exactly
 // what any contributor can reproduce) and parses the standard benchmark
-// output lines into one record per benchmark: go test runs each
-// benchmark sampleCount times, and the record's ns_op is the median of
-// those samples, with their minimum and maximum beside it. Derived
-// speedup ratios for the baseline-vs-optimized kernel pairs compare
-// medians. Serving numbers come from perfbench's serve-decompose
-// workload, not from here.
+// output lines into one record per benchmark. It makes sampleCount
+// passes, each one `go test -count=1` per package, so every benchmark
+// is sampled once per pass and the two sides of a speedup pair are timed
+// seconds apart in every pass rather than in two separate runs of
+// samples; the record's ns_op is the median of a benchmark's samples,
+// with their minimum and maximum beside it. Derived speedup ratios for
+// the baseline-vs-optimized kernel pairs compare medians. Serving
+// numbers come from perfbench's serve-decompose workload, not from here.
 package main
 
 import (
@@ -30,7 +32,8 @@ import (
 	"time"
 )
 
-// sampleCount is how many times go test runs each benchmark (its -count).
+// sampleCount is how many passes over the benchmarks run, one sample of
+// each per pass.
 const sampleCount = 5
 
 // benchResult is one benchmark's record: its samples (one parsed
@@ -67,20 +70,25 @@ type report struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|CoreSolveN9|BipartiteField|NewJointCOP|Theorem3|WallStep", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|CoreSolveN9|BipartiteField|NewJointCOP|FormulateN16|Theorem3|WallStep|EvaluateN16|VerifyN16", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
 		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,./internal/core,.", "comma-separated packages to benchmark")
 	)
 	flag.Parse()
 
-	var results []benchResult
-	for _, pkg := range strings.Split(*pkgs, ",") {
-		res, err := runBench(strings.TrimSpace(pkg), *benchRe, *benchTime)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+	var lines bytes.Buffer
+	for pass := 0; pass < sampleCount; pass++ {
+		for _, pkg := range strings.Split(*pkgs, ",") {
+			if err := runBench(&lines, strings.TrimSpace(pkg), *benchRe, *benchTime); err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson:", err)
+				os.Exit(1)
+			}
 		}
-		results = append(results, res...)
+	}
+	results, err := parseBench(&lines)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
 	}
 
 	rep := report{
@@ -108,17 +116,17 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: %d results -> %s\n", len(rep.Results), *out)
 }
 
-// runBench shells out to go test and parses the benchmark lines.
-func runBench(pkg, benchRe, benchTime string) ([]benchResult, error) {
+// runBench shells out to go test for one sample of every matching
+// benchmark in pkg and appends its output to out.
+func runBench(out *bytes.Buffer, pkg, benchRe, benchTime string) error {
 	cmd := exec.Command("go", "test", "-run=^$", "-bench="+benchRe, "-benchtime="+benchTime,
-		"-count="+strconv.Itoa(sampleCount), "-benchmem", pkg)
-	var buf bytes.Buffer
-	cmd.Stdout = &buf
+		"-count=1", "-benchmem", pkg)
+	cmd.Stdout = out
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("%s: %w", pkg, err)
+		return fmt.Errorf("%s: %w", pkg, err)
 	}
-	return parseBench(&buf)
+	return nil
 }
 
 // parseBench extracts benchmark lines of the form
@@ -126,8 +134,8 @@ func runBench(pkg, benchRe, benchTime string) ([]benchResult, error) {
 //	BenchmarkName-8   123   456789 ns/op   7 B/op   0 allocs/op
 //
 // tolerating extra custom metrics (MB/s) between the standard columns,
-// and folds the lines of each benchmark into one record, in the order
-// the benchmarks first appear.
+// and folds the lines of each benchmark, from however many passes, into
+// one record, in the order the benchmarks first appear.
 func parseBench(r *bytes.Buffer) ([]benchResult, error) {
 	var names []string
 	samples := map[string][]benchResult{}

@@ -5,17 +5,40 @@ import (
 	"testing"
 )
 
-// TestParseBenchFoldsSamples: the lines of one benchmark, as go test
-// -count prints them, fold into one record whose ns_op is the median
-// sample, and speedup pairs compare those medians.
+// TestParseBenchFoldsSamples: the lines of one benchmark, spread over
+// the interleaved passes benchjson makes (each pass one go test -count=1
+// per package, every pass with its own headers and trailer, a benchmark
+// missing from a pass), fold into one record whose ns_op is the median
+// sample, records keep the order in which benchmarks first appear, and
+// speedup pairs compare those medians.
 func TestParseBenchFoldsSamples(t *testing.T) {
 	out := bytes.NewBufferString(`goos: linux
+pkg: isinglut/internal/ising
 BenchmarkBipartiteField/avx2/512x128-2     100    30000 ns/op   20971.62 MB/s   0 B/op   0 allocs/op
 BenchmarkBipartiteField/avx512/512x128-2   200    18000 ns/op   0 B/op   0 allocs/op
+PASS
+ok  	isinglut/internal/ising	1.234s
+goos: linux
+pkg: isinglut/internal/sb
+BenchmarkWallStep/go/n=768-2     1000    100 ns/op   0 B/op   0 allocs/op
+BenchmarkWallStep/avx2/n=768-2   1000     50 ns/op   0 B/op   0 allocs/op
+PASS
+ok  	isinglut/internal/sb	0.5s
+goos: linux
+pkg: isinglut/internal/ising
 BenchmarkBipartiteField/avx2/512x128-2     100    26000 ns/op   0 B/op   0 allocs/op
 BenchmarkBipartiteField/avx512/512x128-2   200    21000 ns/op   0 B/op   0 allocs/op
+PASS
+ok  	isinglut/internal/ising	1.2s
+goos: linux
+pkg: isinglut/internal/sb
+BenchmarkWallStep/go/n=768-2     1000    120 ns/op   0 B/op   0 allocs/op
+BenchmarkWallStep/avx2/n=768-2   1000     40 ns/op   0 B/op   0 allocs/op
+PASS
+ok  	isinglut/internal/sb	0.5s
 BenchmarkBipartiteField/avx2/512x128-2     100    24000 ns/op   0 B/op   1 allocs/op
 BenchmarkBipartiteField/avx512/512x128-2   200    20000 ns/op   64 B/op   0 allocs/op
+PASS
 BenchmarkBipartiteField/avx512/512x128-2   200    19000 ns/op   0 B/op   0 allocs/op
 PASS
 `)
@@ -26,6 +49,8 @@ PASS
 	want := []benchResult{
 		{Name: "BenchmarkBipartiteField/avx2/512x128", Runs: 300, NsOp: 26000, NsMin: 24000, NsMax: 30000, Samples: 3, AllocsOp: 1},
 		{Name: "BenchmarkBipartiteField/avx512/512x128", Runs: 800, NsOp: 19500, NsMin: 18000, NsMax: 21000, Samples: 4, BytesOp: 64},
+		{Name: "BenchmarkWallStep/go/n=768", Runs: 2000, NsOp: 110, NsMin: 100, NsMax: 120, Samples: 2},
+		{Name: "BenchmarkWallStep/avx2/n=768", Runs: 2000, NsOp: 45, NsMin: 40, NsMax: 50, Samples: 2},
 	}
 	if len(res) != len(want) {
 		t.Fatalf("got %d records, want %d: %+v", len(res), len(want), res)
@@ -36,7 +61,7 @@ PASS
 		}
 	}
 	sp := deriveSpeedups(res)
-	if len(sp) != 1 || sp[0].Ratio != 26000.0/19500 {
-		t.Fatalf("speedups %+v, want one avx2 → avx512 pair at the median ratio", sp)
+	if len(sp) != 2 || sp[0].Ratio != 26000.0/19500 || sp[1].Ratio != 110.0/45 {
+		t.Fatalf("speedups %+v, want the avx2 → avx512 and go → avx2 pairs at the median ratios", sp)
 	}
 }

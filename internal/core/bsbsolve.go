@@ -74,7 +74,8 @@ func SolveBSB(ctx context.Context, cop *COP, opts SolverOptions) Solution {
 	if opts.SB.OnSample != nil {
 		panic("core: SolverOptions.SB.OnSample is reserved")
 	}
-	f := Formulate(cop)
+	coup := getTwin(cop.C, cop.R)
+	f := formulateInto(cop, coup)
 	params := opts.SB
 	if opts.Theorem3 {
 		params.OnSample = theorem3Hook(f)
@@ -83,6 +84,7 @@ func SolveBSB(ctx context.Context, cop *COP, opts SolverOptions) Solution {
 	res := sb.SolveWith(ctx, f.Problem, params, ws)
 	res.Spins = append([]int8(nil), res.Spins...) // own the spins before the workspace is recycled
 	wsPool.Put(ws)
+	twinPool.Put(coup) // nothing below reads the couplings
 	setting := f.DecodeSpins(res.Spins)
 	met.ObserveRun(time.Since(start), res.Stopped)
 	return Solution{
@@ -150,12 +152,14 @@ func SolveBSBBatch(ctx context.Context, cop *COP, opts SolverOptions, replicas i
 	if opts.SB.OnSample != nil {
 		panic("core: SolverOptions.SB.OnSample is reserved")
 	}
-	f := Formulate(cop)
+	coup := getTwin(cop.C, cop.R)
+	f := formulateInto(cop, coup)
 	bp := sb.BatchParams{Base: opts.SB, Replicas: replicas}
 	if opts.Theorem3 {
 		bp.Base.OnSample = theorem3Hook(f)
 	}
 	res, stats := sb.SolveBatch(ctx, f.Problem, bp)
+	twinPool.Put(coup)
 	setting := f.DecodeSpins(res.Spins)
 	met.ObserveRun(time.Since(start), stats.BatchStopped)
 	return Solution{

@@ -26,7 +26,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"isinglut/internal/bitvec"
 	"isinglut/internal/boolmatrix"
@@ -94,6 +93,15 @@ func NewSeparateCOP(m *boolmatrix.Matrix) *COP {
 // optimized must equal their exact versions, which reproduces the paper's
 // first-round treatment. dist may be nil (uniform).
 func NewJointCOP(part *partition.Partition, k int, exact, approx *truthtable.Table, dist prob.Distribution) *COP {
+	return new(COP).ResetJoint(part, k, exact, approx, dist)
+}
+
+// ResetJoint rebuilds cop in place as NewJointCOP(part, k, exact, approx,
+// dist) and returns it. It reuses cop's cost slices when they are large
+// enough, so a caller that solves many COPs of one shape can keep one COP
+// and skip allocating and zeroing two r·c cost arrays per build; every
+// cell is written, unreachable ones with +0.
+func (cop *COP) ResetJoint(part *partition.Partition, k int, exact, approx *truthtable.Table, dist prob.Distribution) *COP {
 	n := exact.NumInputs()
 	if part.NumVars() != n {
 		panic(fmt.Sprintf("core: partition over %d vars, function over %d", part.NumVars(), n))
@@ -101,85 +109,106 @@ func NewJointCOP(part *partition.Partition, k int, exact, approx *truthtable.Tab
 	if dist == nil {
 		dist = prob.NewUniform(n)
 	}
-	mOut := exact.NumOutputs()
-	weight := float64(uint64(1) << uint(k)) // 2^{k-1} with the paper's 1-based k
-	exactWords, approxWords := componentWords(exact), componentWords(approx)
 	r, c := part.Rows(), part.Cols()
-	cop := &COP{Part: part, R: r, C: c,
-		Cost0: make([]float64, r*c), Cost1: make([]float64, r*c)}
+	*cop = COP{Part: part, R: r, C: c, Cost0: resize(cop.Cost0, r*c), Cost1: resize(cop.Cost1, r*c)}
+	kbit := uint64(1) << uint(k) // 2^{k-1} with the paper's 1-based k
+	if exact.NumOutputs() > 53 {
+		// D in float64, summed over the outputs in ascending order: past
+		// 53 outputs its partial sums may round.
+		weight := float64(kbit)
+		exactWords, approxWords := componentWords(exact), componentWords(approx)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				idx := i*c + j
+				if !part.Valid(i, j) {
+					cop.Cost0[idx], cop.Cost1[idx] = 0, 0 // unreachable cell: zero cost either way
+					continue
+				}
+				x := part.Global(i, j)
+				p := dist.P(x)
+				d := jointDiffFloat(x, k, exactWords, approxWords)
+				cop.Cost0[idx] = p * math.Abs(d)
+				cop.Cost1[idx] = p * math.Abs(weight+d)
+			}
+		}
+		return cop
+	}
 	// D_kij = sum_{l != k} 2^l approx_l(x) - sum_l 2^l exact_l(x). Up to 53
 	// outputs every partial sum of the float loop in jointDiffFloat is an
 	// integer below 2^53, so that loop is exact and equals the integer
-	// difference, which jointDiffTable builds for every input at once.
-	// The table lives in Cost1 (there are at least 2^n cells); a first
-	// pass moves each reachable cell's D into Cost0. Wider tables run the
-	// loop itself: its sums may round.
-	table := mOut <= 53
-	if table {
-		d := cop.Cost1[:1<<n]
-		jointDiffTable(d, k, exactWords, approxWords)
-		for i := 0; i < r; i++ {
-			row := cop.Cost0[i*c : i*c+c]
-			for j := range row {
-				if part.Valid(i, j) {
-					row[j] = d[part.Global(i, j)]
-				}
+	// difference D of the two tables' output words (approx's with bit k
+	// cleared). The costs are then taken in integers: float64(|D|) is
+	// |float64(D)|, both exact, and float64(|2^k + D|) is |2^k +
+	// float64(D)|, since |2^k + D| < 2^54 and rounding the exact sum once,
+	// as the float add does, is symmetric in sign.
+	//
+	// The words come 64 inputs at a time, and each input's costs go to
+	// its cell, whose index is the OR of the partition's CellBits over the
+	// input's set bits: the share of the low six bits is tabulated once,
+	// the rest formed per block. Every input has one cell; the cells no
+	// input reaches, which only an overlapping partition has, keep +0.
+	// Under the uniform distribution every input has the same P, read
+	// once.
+	uniform, isUniform := dist.(*prob.Uniform)
+	pu := 0.0
+	if isUniform {
+		pu = uniform.P(0)
+	}
+	if !part.Disjoint() {
+		clear(cop.Cost0)
+		clear(cop.Cost1)
+	}
+	cellBits := part.CellBits()
+	var low [64]int
+	for t := range low {
+		for b, cell := range cellBits[:min(n, 6)] {
+			if t>>b&1 != 0 {
+				low[t] |= int(cell)
 			}
 		}
 	}
-	for i := 0; i < r; i++ {
-		base := i * c
-		for j := 0; j < c; j++ {
-			if !part.Valid(i, j) {
-				cop.Cost1[base+j] = 0 // unreachable cell: zero cost either way
-				continue
+	var ev, av [64]uint64
+	size := 1 << uint(n)
+	cost0, cost1 := cop.Cost0, cop.Cost1
+	for w := 0; w < (size+63)/64; w++ {
+		exact.OutputWords(w, &ev)
+		approx.OutputWords(w, &av)
+		high := 0
+		for b := 6; b < n; b++ {
+			high |= int(cellBits[b]) & -(w >> uint(b-6) & 1)
+		}
+		for t, cell := range low[:min(64, size)] {
+			d := int64(av[t]&^kbit) - int64(ev[t])
+			p := pu
+			if !isUniform {
+				p = dist.P(uint64(w)<<6 | uint64(t))
 			}
-			x := part.Global(i, j)
-			p := dist.P(x)
-			var d float64
-			if table {
-				d = cop.Cost0[base+j]
-			} else {
-				d = jointDiffFloat(x, k, exactWords, approxWords)
-			}
-			cop.Cost0[base+j] = p * math.Abs(d)
-			cop.Cost1[base+j] = p * math.Abs(weight+d)
+			idx := high | cell
+			cost0[idx] = p * float64(absInt(d))
+			cost1[idx] = p * float64(absInt(int64(kbit)+d))
 		}
 	}
 	return cop
 }
 
-// jointDiffTable adds, for every input x, D(x) = sum_{l != k} 2^l
-// approx_l(x) - sum_l 2^l exact_l(x) onto d[x] (len(d) = 2^n, zeroed by
-// the caller), for at most 53 outputs, where every partial sum is an
-// integer below 2^53 and so exact. It works through the packed words 64
-// inputs at a time: an output l != k adds 2^l where approx_l is 1 and
-// exact_l is 0, and subtracts it where the reverse holds; output k
-// subtracts 2^k where exact_k is 1. Outputs on which the two tables
-// agree cost one word comparison each. Bits past 2^n are zero in the
-// packed words, so every index stays below len(d).
-func jointDiffTable(d []float64, k int, exactWords, approxWords [][]uint64) {
-	for l, ew := range exactWords {
-		unit := float64(uint64(1) << uint(l))
-		aw := approxWords[l][:len(ew)]
-		for w, e := range ew {
-			up, down := aw[w]&^e, e&^aw[w]
-			if l == k {
-				up, down = 0, e
-			}
-			block := d[64*w : min(64*w+64, len(d))]
-			for ; up != 0; up &= up - 1 {
-				block[bits.TrailingZeros64(up)] += unit
-			}
-			for ; down != 0; down &= down - 1 {
-				block[bits.TrailingZeros64(down)] -= unit
-			}
-		}
-	}
+// absInt returns |v| for v > math.MinInt64.
+func absInt(v int64) int64 {
+	s := v >> 63
+	return v ^ s - s
 }
 
-// jointDiffFloat is D(x) summed in float64 in ascending output order, for
-// tables too wide for jointDiffTable.
+// resize returns s resliced to length n when its capacity allows, or a
+// fresh slice; the contents are not cleared.
+func resize(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]float64, n)
+}
+
+// jointDiffFloat is D(x) summed in float64 in ascending output order. It
+// serves ResetJoint's float loop for tables with more than 53 outputs,
+// whose partial sums may round.
 func jointDiffFloat(x uint64, k int, exactWords, approxWords [][]uint64) float64 {
 	word, shift := x>>6, x&63
 	var d float64
@@ -221,15 +250,31 @@ func (cop *COP) Delta(i, j int) float64 {
 	return cop.Cost1[idx] - cop.Cost0[idx]
 }
 
-// SettingCost evaluates the objective on a column setting.
+// SettingCost evaluates the objective on a column setting: the cost of
+// every cell's Eq. (3) value, summed row-major from +0. Row i reads its
+// cells from the cost row V1_i selects where T_j = 0 and from the one
+// V2_i selects where T_j = 1, with T read a word at a time.
 func (cop *COP) SettingCost(s *decomp.ColSetting) float64 {
 	if !s.Part.Equal(cop.Part) {
 		panic("core: SettingCost partition mismatch")
 	}
+	c := cop.C
+	tw := s.T.Words()
 	total := 0.0
 	for i := 0; i < cop.R; i++ {
-		for j := 0; j < cop.C; j++ {
-			total += cop.EntryCost(i, j, s.EntryValue(i, j))
+		row1, row2 := cop.Cost0[i*c:i*c+c], cop.Cost0[i*c:i*c+c]
+		if s.V1.Get(i) {
+			row1 = cop.Cost1[i*c : i*c+c]
+		}
+		if s.V2.Get(i) {
+			row2 = cop.Cost1[i*c : i*c+c]
+		}
+		row2 = row2[:len(row1)]
+		for j, v := range row1 {
+			if tw[j>>6]>>(j&63)&1 != 0 {
+				v = row2[j]
+			}
+			total += v
 		}
 	}
 	return total

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"isinglut/internal/bitvec"
 	"isinglut/internal/decomp"
@@ -43,34 +44,37 @@ type Formulation struct {
 // pattern row), the biases, the offset and the per-column inputs of the
 // Theorem-3 bounds.
 func Formulate(cop *COP) *Formulation {
+	return formulateInto(cop, ising.NewTwin(cop.C, cop.R))
+}
+
+// formulateRows is how many pattern rows formulateInto gathers before it
+// stores them into the twin with one SetColumns call: eight adjacent
+// floats, one cache line, per row-major row of Q.
+const formulateRows = 8
+
+// formulateInto is Formulate with a caller-supplied c×r twin, every
+// entry of which it overwrites, so a recycled twin needs no clearing. The
+// sums keep Formulate's order: the offset over the cells row-major from
+// +0, each bias over its row, each column's mass over ascending rows.
+func formulateInto(cop *COP, coup *ising.Twin) *Formulation {
 	r, c := cop.R, cop.C
 	n := c + 2*r
-	coup := ising.NewTwin(c, r)
 	h := make([]float64, n)
-	q := make([]float64, c)    // Q's column i: the q of pattern row i
-	mass := make([]float64, c) // per column: sum of |cost0| + |cost1|
-	grain := make([]int, c)    // per column: min lowBitExp over its costs
+	block := make([]float64, min(r, formulateRows)*c) // Q's columns i0.. : the q of pattern rows i0..
+	mass := make([]float64, c)                        // per column: sum of |cost0| + |cost1|
+	grain := make([]int, c)                           // per column: min lowBitExp over its costs
 	for j := range grain {
 		grain[j] = math.MaxInt
 	}
 	offset := 0.0
-	for i := 0; i < r; i++ {
-		base := i * c
-		cost0, cost1 := cop.Cost0[base:base+c], cop.Cost1[base : base+c][:c]
-		q, mass, grain := q[:c], mass[:c], grain[:c]
-		hi := 0.0 // h[V1_i] = h[V2_i], summed over ascending j from +0
-		for j, c0 := range cost0 {
-			c1 := cost1[j]
-			delta := c1 - c0
-			qij := delta / 4
-			offset += c0 + delta/2
-			hi -= qij
-			q[j] = qij // T_j with V1_i; T_j with V2_i is 0 - q
-			mass[j] += math.Abs(c0) + math.Abs(c1)
-			grain[j] = min(grain[j], lowBitExp(c0), lowBitExp(c1))
+	for i0 := 0; i0 < r; i0 += formulateRows {
+		rows := min(formulateRows, r-i0)
+		for i := i0; i < i0+rows; i++ {
+			var hi float64
+			offset, hi = formulateRow(offset, cop.Cost0[i*c:i*c+c], cop.Cost1[i*c:i*c+c], block[(i-i0)*c:], mass, grain)
+			h[c+i], h[c+r+i] = hi, hi
 		}
-		h[c+i], h[c+r+i] = hi, hi
-		coup.SetColumn(i, q)
+		coup.SetColumns(i0, block[:rows*c])
 	}
 	bound := mass // each column's mass becomes its bound in place
 	for j, m := range mass {
@@ -81,6 +85,43 @@ func Formulate(cop *COP) *Formulation {
 		panic(err) // dimensions are constructed consistently above
 	}
 	return &Formulation{COP: cop, Problem: prob, tBound: bound}
+}
+
+// formulateRow adds one pattern row's costs into the offset, the column
+// masses and the column grains, writes the row's q into q, and returns
+// the offset and the row's bias h[V1_i] = h[V2_i], summed over ascending
+// j from +0.
+func formulateRow(offset float64, cost0, cost1, q, mass []float64, grain []int) (float64, float64) {
+	cost1, q, mass, grain = cost1[:len(cost0)], q[:len(cost0)], mass[:len(cost0)], grain[:len(cost0)]
+	hi := 0.0
+	for j, c0 := range cost0 {
+		c1 := cost1[j]
+		delta := c1 - c0
+		qij := delta / 4
+		offset += c0 + delta/2
+		hi -= qij
+		q[j] = qij // T_j with V1_i; T_j with V2_i is 0 - q
+		mass[j] += math.Abs(c0) + math.Abs(c1)
+		grain[j] = min(grain[j], lowBitExp(c0), lowBitExp(c1))
+	}
+	return offset, hi
+}
+
+// twinPool recycles the couplers of core solves: a twin holds Q twice
+// (2·r·c floats, 1 MiB at the Fig. 4 size), and formulateInto overwrites
+// all of it, so a solve that draws one of its shape skips allocating and
+// zeroing it.
+var twinPool sync.Pool
+
+// getTwin returns a pooled c×r twin, or a new one when the pool has none
+// of that shape.
+func getTwin(c, r int) *ising.Twin {
+	if t, ok := twinPool.Get().(*ising.Twin); ok {
+		if tc, tr := t.Shape(); tc == c && tr == r {
+			return t
+		}
+	}
+	return ising.NewTwin(c, r)
 }
 
 // lowBitExp returns the exponent of the lowest set significand bit of

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"isinglut/internal/benchfn"
 	"isinglut/internal/partition"
 	"isinglut/internal/prob"
+	"isinglut/internal/sb"
 	"isinglut/internal/truthtable"
 )
 
@@ -119,19 +122,88 @@ func assertJointCOPBitIdentical(t *testing.T, part *partition.Partition, k int, 
 
 // BenchmarkNewJointCOPN16 times one joint-mode COP build at the Fig. 4
 // size: component 8 of the 16-input multiplier, 7 free variables
-// (r = 128, c = 512).
+// (r = 128, c = 512). The exact row builds it against approx = exact, as
+// a run's first solve does; the midrun row against the approximation a
+// Fig. 4 run holds when it reaches component 8 (midRunN16).
 func BenchmarkNewJointCOPN16(b *testing.B) {
-	exact, err := benchfn.Build("multiplier", 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	approx := exact.Clone()
-	part := partition.Random(16, 7, rand.New(rand.NewSource(3)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchCOP = NewJointCOP(part, 8, exact, approx, nil)
+	fx := midRunN16(b)
+	for _, bc := range []struct {
+		name   string
+		approx *truthtable.Table
+	}{{"exact", fx.exact}, {"midrun", fx.approx}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchCOP = NewJointCOP(fx.part, fx.k, fx.exact, bc.approx, nil)
+			}
+		})
 	}
 }
 
-var benchCOP *COP
+// BenchmarkFormulateN16 times the Ising formulation of the mid-run Fig. 4
+// COP (midRunN16): Formulate allocating its twin, as a caller outside a
+// solve does, and formulateInto filling a recycled one, as SolveBSB does.
+func BenchmarkFormulateN16(b *testing.B) {
+	fx := midRunN16(b)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchForm = Formulate(fx.cop)
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		coup := getTwin(fx.cop.C, fx.cop.R)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchForm = formulateInto(fx.cop, coup)
+		}
+	})
+}
+
+var (
+	benchCOP  *COP
+	benchForm *Formulation
+)
+
+// midRunFixture is a Fig. 4 joint COP as a run meets it mid-way.
+type midRunFixture struct {
+	exact, approx *truthtable.Table
+	part          *partition.Partition
+	k             int
+	cop           *COP
+}
+
+var (
+	midRunOnce sync.Once
+	midRun     midRunFixture
+)
+
+// midRunN16 returns the 16-input multiplier with components 15 down to 9
+// replaced by bSB core solves (joint mode, each under its own random
+// 7-variable free set, the quick-scale stop rule), as a Fig. 4 run holds
+// it when it reaches component 8, and that component's COP under
+// BenchmarkNewJointCOPN16's partition. It is built once per process.
+func midRunN16(b *testing.B) *midRunFixture {
+	b.Helper()
+	midRunOnce.Do(func() {
+		exact, err := benchfn.Build("multiplier", 16)
+		if err != nil {
+			panic(err)
+		}
+		opts := DefaultSolverOptions()
+		opts.SB.Steps = 1000
+		opts.SB.Stop = &sb.StopCriteria{F: 10, S: 10, Epsilon: 1e-8}
+		rng := rand.New(rand.NewSource(21))
+		approx := exact.Clone()
+		for k := 15; k > 8; k-- {
+			opts.SB.Seed = rng.Int63()
+			cop := NewJointCOP(partition.Random(16, 7, rng), k, exact, approx, nil)
+			approx.SetComponent(k, SolveBSB(context.Background(), cop, opts).Setting.ApproxTable())
+		}
+		part := partition.Random(16, 7, rand.New(rand.NewSource(3)))
+		midRun = midRunFixture{exact: exact, approx: approx, part: part, k: 8,
+			cop: NewJointCOP(part, 8, exact, approx, nil)}
+	})
+	b.ResetTimer()
+	return &midRun
+}

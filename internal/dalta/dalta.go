@@ -59,11 +59,18 @@ type Request struct {
 // BuildCOP materializes the per-entry-cost COP for the request, in either
 // mode.
 func BuildCOP(req Request) *core.COP {
+	return buildCOPInto(new(core.COP), req)
+}
+
+// buildCOPInto is BuildCOP into cop, whose cost slices a joint-mode build
+// reuses (core.COP.ResetJoint).
+func buildCOPInto(cop *core.COP, req Request) *core.COP {
 	if req.Mode == core.Separate {
 		m := boolmatrix.Build(req.Exact.Component(req.K), req.Part, req.Dist)
-		return core.NewSeparateCOP(m)
+		*cop = *core.NewSeparateCOP(m)
+		return cop
 	}
-	return core.NewJointCOP(req.Part, req.K, req.Exact, req.Approx, req.Dist)
+	return cop.ResetJoint(req.Part, req.K, req.Exact, req.Approx, req.Dist)
 }
 
 // Result is a core-COP solution: the approximate component table, the
@@ -202,6 +209,18 @@ func Run(ctx context.Context, exact *truthtable.Table, cfg Config) (*Outcome, er
 
 	out.Stopped = metrics.StopConverged
 	pollCtx := ctx.Done() != nil
+	// eval holds the error report of approx as it stands, for the
+	// commit checks, the round trace and the final report alike; a
+	// commit clears it. Evaluate is deterministic, so a reused report is
+	// bit for bit the one a fresh evaluation would give.
+	var eval *errmetric.Report
+	evaluate := func() errmetric.Report {
+		if eval == nil {
+			rep := errmetric.MustEvaluate(exact, approx, dist)
+			eval = &rep
+		}
+		return *eval
+	}
 outer:
 	for round := 0; round < cfg.Rounds; round++ {
 		// Most significant bit first (paper Section 2.4).
@@ -242,8 +261,9 @@ outer:
 			if best == nil {
 				continue
 			}
-			if commitImproves(exact, approx, k, best, cfg.Mode, dist, out.Components[k]) {
+			if commitImproves(exact, approx, k, best, cfg.Mode, dist, out.Components[k], evaluate) {
 				approx.SetComponent(k, best.Table)
+				eval = nil
 				out.Components[k] = &ComponentState{
 					K:      k,
 					Part:   bestPart,
@@ -252,10 +272,10 @@ outer:
 				}
 			}
 		}
-		out.RoundMED = append(out.RoundMED, progressMetric(exact, approx, cfg.Mode, dist))
+		out.RoundMED = append(out.RoundMED, progressMetric(exact, approx, cfg.Mode, dist, evaluate))
 	}
 
-	out.Report = errmetric.MustEvaluate(exact, approx, dist)
+	out.Report = evaluate()
 	out.Elapsed = time.Since(start)
 	met.ObserveRun(out.Elapsed, out.Stopped)
 	met.Iterations.Add(int64(out.CoreSolves))
@@ -347,7 +367,7 @@ func solveAll(ctx context.Context, solver CoreSolver, reqs []Request, workers in
 
 // commitImproves decides whether the candidate beats the currently
 // committed approximation of component k under the present state of the
-// other components.
+// other components. evaluate returns the error report of approx.
 //
 // In joint mode the candidate's COP cost is exactly the whole-word MED
 // with the other components fixed, so it is compared against the current
@@ -357,7 +377,7 @@ func solveAll(ctx context.Context, solver CoreSolver, reqs []Request, workers in
 // *decomposition*, so the first commit always happens unless the candidate
 // is strictly worse than exact and the component already decomposes for
 // free (cost 0 is always accepted as equal-or-better).
-func commitImproves(exact, approx *truthtable.Table, k int, cand *Result, mode core.Mode, dist prob.Distribution, prev *ComponentState) bool {
+func commitImproves(exact, approx *truthtable.Table, k int, cand *Result, mode core.Mode, dist prob.Distribution, prev *ComponentState, evaluate func() errmetric.Report) bool {
 	if prev == nil {
 		// First commit: a decomposition is required for the LUT savings,
 		// so accept the best candidate unconditionally.
@@ -365,16 +385,19 @@ func commitImproves(exact, approx *truthtable.Table, k int, cand *Result, mode c
 	}
 	var current float64
 	if mode == core.Joint {
-		current = errmetric.MED(exact, approx, dist)
+		current = evaluate().MED
 	} else {
 		current = errmetric.ComponentER(exact, approx, k, dist)
 	}
 	return cand.Cost < current-1e-15
 }
 
-func progressMetric(exact, approx *truthtable.Table, mode core.Mode, dist prob.Distribution) float64 {
+// progressMetric is a round's entry of Outcome.RoundMED: the MED in
+// joint mode (from evaluate, the report of approx), the summed component
+// ER in separate mode.
+func progressMetric(exact, approx *truthtable.Table, mode core.Mode, dist prob.Distribution, evaluate func() errmetric.Report) float64 {
 	if mode == core.Joint {
-		return errmetric.MED(exact, approx, dist)
+		return evaluate().MED
 	}
 	total := 0.0
 	for k := 0; k < exact.NumOutputs(); k++ {

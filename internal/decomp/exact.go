@@ -85,11 +85,13 @@ func CheckColDecomposable(m *boolmatrix.Matrix) (*ColSetting, bool) {
 }
 
 // Decomposable reports whether the component with truth table tt has an
-// exact disjoint decomposition over part. It uses the column-based test.
+// exact disjoint decomposition over part. It uses the column-based test
+// (at most two distinct columns), on whole words of the matrix's rows.
 func Decomposable(tt *bitvec.Vector, part *partition.Partition) bool {
-	m := boolmatrix.Build(tt, part, nil)
-	_, ok := CheckColDecomposable(m)
-	return ok
+	if !part.Disjoint() {
+		panic("decomp: Decomposable requires a disjoint partition")
+	}
+	return twoColumnTypes(tt, part)
 }
 
 // Decomposition is the synthesized pair of sub-functions of a disjoint
@@ -153,23 +155,11 @@ func (d *Decomposition) Eval(x uint64) int {
 	return d.F0.Bit(i)
 }
 
-// Recompose materializes the full truth table of F(phi(B), A).
+// Recompose materializes the full truth table of F(phi(B), A): the
+// matrix whose column j is F1 where phi_j = 1 and F0 elsewhere, the
+// column setting (F0, F1, Phi).
 func (d *Decomposition) Recompose() *bitvec.Vector {
-	n := d.Part.NumVars()
-	out := bitvec.New(1 << uint(n))
-	r, c := d.Part.Rows(), d.Part.Cols()
-	for j := 0; j < c; j++ {
-		sel := d.F0
-		if d.Phi.Get(j) {
-			sel = d.F1
-		}
-		for i := 0; i < r; i++ {
-			if sel.Get(i) && d.Part.Valid(i, j) {
-				out.Set(int(d.Part.Global(i, j)), true)
-			}
-		}
-	}
-	return out
+	return rowTypeTable(d.Part, d.Phi, func(i int) RowType { return colRowType(d.F0, d.F1, i) })
 }
 
 // Bits returns the total LUT storage of the decomposition in bits

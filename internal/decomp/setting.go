@@ -156,39 +156,13 @@ func lenOrNeg(v *bitvec.Vector) int {
 // ApproxTable materializes the approximate component truth table (2^n
 // bits) implied by a column setting.
 func (s *ColSetting) ApproxTable() *bitvec.Vector {
-	p := s.Part
-	out := bitvec.New(1 << uint(p.NumVars()))
-	r, c := p.Rows(), p.Cols()
-	for j := 0; j < c; j++ {
-		var pat *bitvec.Vector
-		if s.T.Get(j) {
-			pat = s.V2
-		} else {
-			pat = s.V1
-		}
-		for i := 0; i < r; i++ {
-			if pat.Get(i) && p.Valid(i, j) {
-				out.Set(int(p.Global(i, j)), true)
-			}
-		}
-	}
-	return out
+	return rowTypeTable(s.Part, s.T, func(i int) RowType { return colRowType(s.V1, s.V2, i) })
 }
 
 // ApproxTable materializes the approximate component truth table implied
 // by a row setting.
 func (s *RowSetting) ApproxTable() *bitvec.Vector {
-	p := s.Part
-	out := bitvec.New(1 << uint(p.NumVars()))
-	r, c := p.Rows(), p.Cols()
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			if s.EntryValue(i, j) == 1 && p.Valid(i, j) {
-				out.Set(int(p.Global(i, j)), true)
-			}
-		}
-	}
-	return out
+	return rowTypeTable(s.Part, s.V, func(i int) RowType { return s.S[i] })
 }
 
 // ToColSetting converts a row setting into the equivalent column setting

@@ -41,45 +41,77 @@ func Evaluate(exact, approx *truthtable.Table, dist prob.Distribution) (Report, 
 	}
 	m := exact.NumOutputs()
 	rep := Report{BitER: make([]float64, m)}
+	// Under the uniform distribution every input has P = 2^-n, and with
+	// n + m <= 53 every sum below is exact in float64: ER and BitER[k]
+	// add count·2^-n with count <= 2^n, MED adds ed·2^-n with ed < 2^m
+	// (each product exact), so every partial sum is an integer below 2^53
+	// times 2^-n. Each sum then equals its integer total times 2^-n, bit
+	// for bit, and the loop below counts instead of adding floats. Other
+	// distributions, and wider shapes, add P input by input.
+	uniform, counted := dist.(*prob.Uniform)
+	counted = counted && n+m <= 53
+	var errs, edSum uint64
+	counts := make([]uint64, m)
 	size := exact.Size()
-	// The tables are read one 64-input word per component at a time (bit
-	// vectors keep the bits past their end zero); a block where every
-	// component agrees holds no error and is skipped. The differing inputs
-	// are then visited in ascending order, so every sum accumulates in the
-	// order of a plain scan over x.
-	var ew, aw [64]uint64
+	// The tables are read one 64-input block at a time: one packed word
+	// per component for the differing inputs, and the block's output
+	// words through one transpose per table. A block where every
+	// component agrees holds no error and is skipped. Each sum then visits
+	// its inputs in ascending order, as a plain scan over x would: ER, MED
+	// and WorstED over the inputs where any component differs, BitER[k]
+	// over those where component k does, reusing the inputs' P.
+	var ev, av [64]uint64
+	var diff [64]uint64
+	var p [64]float64
 	for base := uint64(0); base < size; base += 64 {
 		w := int(base >> 6)
 		var d uint64
 		for k := 0; k < m; k++ {
-			ew[k], aw[k] = exact.Component(k).Words()[w], approx.Component(k).Words()[w]
-			d |= ew[k] ^ aw[k]
+			diff[k] = exact.Component(k).Words()[w] ^ approx.Component(k).Words()[w]
+			d |= diff[k]
 		}
+		if d == 0 {
+			continue
+		}
+		exact.OutputWords(w, &ev)
+		approx.OutputWords(w, &av)
+		if counted {
+			errs += uint64(bits.OnesCount64(d))
+			for k, x := range diff[:m] {
+				counts[k] += uint64(bits.OnesCount64(x))
+			}
+			for ; d != 0; d &= d - 1 {
+				j := bits.TrailingZeros64(d)
+				ed := max(ev[j], av[j]) - min(ev[j], av[j])
+				edSum += ed
+				rep.WorstED = max(rep.WorstED, ed)
+			}
+			continue
+		}
+		er, med := rep.ER, rep.MED
 		for ; d != 0; d &= d - 1 {
-			j := uint(bits.TrailingZeros64(d))
-			var a, b uint64
-			for k := 0; k < m; k++ {
-				a |= (ew[k] >> j & 1) << uint(k)
-				b |= (aw[k] >> j & 1) << uint(k)
+			j := bits.TrailingZeros64(d)
+			pj := dist.P(base + uint64(j))
+			p[j] = pj
+			er += pj
+			ed := max(ev[j], av[j]) - min(ev[j], av[j])
+			med += pj * float64(ed)
+			rep.WorstED = max(rep.WorstED, ed)
+		}
+		rep.ER, rep.MED = er, med
+		for k, x := range diff[:m] {
+			sum := rep.BitER[k]
+			for ; x != 0; x &= x - 1 {
+				sum += p[bits.TrailingZeros64(x)]
 			}
-			p := dist.P(base + uint64(j))
-			rep.ER += p
-			var ed uint64
-			if a > b {
-				ed = a - b
-			} else {
-				ed = b - a
-			}
-			rep.MED += p * float64(ed)
-			if ed > rep.WorstED {
-				rep.WorstED = ed
-			}
-			diff := a ^ b
-			for k := 0; k < m; k++ {
-				if diff&(1<<uint(k)) != 0 {
-					rep.BitER[k] += p
-				}
-			}
+			rep.BitER[k] = sum
+		}
+	}
+	if counted {
+		pu := uniform.P(0)
+		rep.ER, rep.MED = float64(errs)*pu, float64(edSum)*pu
+		for k, c := range counts {
+			rep.BitER[k] = float64(c) * pu
 		}
 	}
 	return rep, nil
@@ -111,10 +143,13 @@ func ComponentER(exact, approx *truthtable.Table, k int, dist prob.Distribution)
 	if dist == nil {
 		dist = prob.NewUniform(n)
 	}
+	// XOR the packed words and add P over the set bits: the differing
+	// inputs in ascending order, as a scan over x would add them.
+	aw := approx.Component(k).Words()
 	er := 0.0
-	for x := uint64(0); x < exact.Size(); x++ {
-		if exact.Bit(k, x) != approx.Bit(k, x) {
-			er += dist.P(x)
+	for w, e := range exact.Component(k).Words() {
+		for x := e ^ aw[w]; x != 0; x &= x - 1 {
+			er += dist.P(uint64(w)<<6 | uint64(bits.TrailingZeros64(x)))
 		}
 	}
 	return er

@@ -141,6 +141,56 @@ func TestTwinSetColumnLayout(t *testing.T) {
 	}
 }
 
+// TestTwinSetColumnsMatchesSetColumn: storing Q in blocks of columns
+// (SetColumns, as core.Formulate does) leaves both layouts bit for bit
+// as one SetColumn per column does, over shapes with and without whole
+// 32-row panels and blocks that do not divide r, −0 entries included; a
+// block past the last column panics.
+func TestTwinSetColumnsMatchesSetColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, shape := range [][2]int{{1, 1}, {3, 5}, {32, 7}, {70, 12}, {96, 17}} {
+		c, r := shape[0], shape[1]
+		cols := make([]float64, c*r)
+		for i := range cols {
+			switch rng.Intn(4) {
+			case 0:
+				cols[i] = math.Copysign(0, -1)
+			default:
+				cols[i] = rng.NormFloat64()
+			}
+		}
+		want := NewTwin(c, r)
+		for i := 0; i < r; i++ {
+			want.SetColumn(i, cols[i*c:i*c+c])
+		}
+		for _, w := range []int{1, 3, 8} {
+			got := NewTwin(c, r)
+			for i := range got.q {
+				got.q[i] = math.NaN()
+			}
+			for i := range got.panels {
+				got.panels[i] = math.NaN()
+			}
+			for i := 0; i < r; i += w {
+				got.SetColumns(i, cols[i*c:min(i+w, r)*c])
+			}
+			for name, pair := range map[string][2][]float64{"q": {got.q, want.q}, "panels": {got.panels, want.panels}} {
+				for i := range pair[1] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("%dx%d blocks of %d: %s[%d] = %v, SetColumn %v", c, r, w, name, i, pair[0][i], pair[1][i])
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetColumns past the last column did not panic")
+		}
+	}()
+	NewTwin(4, 2).SetColumns(1, make([]float64, 8))
+}
+
 func TestBruteForceTinyKnown(t *testing.T) {
 	// Two spins, ferromagnetic J = 1, no bias: ground states ±(1,1) with
 	// E = -1.

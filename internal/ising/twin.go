@@ -45,20 +45,42 @@ func NewTwin(c, r int) *Twin {
 // N implements Coupler.
 func (t *Twin) N() int { return t.c + 2*t.r }
 
+// Shape returns the twin's sizes: c U-side spins against r W-side pairs.
+func (t *Twin) Shape() (c, r int) { return t.c, t.r }
+
 // SetColumn assigns column i of Q: Q_ji = 0 + col[j] for every U spin j,
 // so a -0 entry is stored as +0. len(col) must be c.
 func (t *Twin) SetColumn(i int, col []float64) {
+	if len(col) != t.c {
+		panic(fmt.Sprintf("ising: SetColumn(%d) with %d entries on a %d×%d twin", i, len(col), t.c, t.r))
+	}
+	t.SetColumns(i, col)
+}
+
+// SetColumns assigns columns i, i+1, ... of Q from cols, which holds them
+// one after another (column i+u is cols[u·c : u·c+c]), as SetColumn does
+// for each: Q_j,i+u = 0 + cols[u·c + j]. len(cols) must be a multiple of
+// c. A block of w columns stores w adjacent entries of each row-major row
+// per visit, where SetColumn stores one at an r-entry stride.
+func (t *Twin) SetColumns(i int, cols []float64) {
 	c, r := t.c, t.r
-	if i < 0 || i >= r || len(col) != c {
-		panic(fmt.Sprintf("ising: SetColumn(%d) with %d entries on a %d×%d twin", i, len(col), c, r))
+	w := len(cols) / c
+	if i < 0 || w*c != len(cols) || i+w > r {
+		panic(fmt.Sprintf("ising: SetColumns(%d) with %d entries on a %d×%d twin", i, len(cols), c, r))
 	}
-	for j, v := range col {
-		t.q[j*r+i] = 0 + v
+	for j := 0; j < c; j++ {
+		dst := t.q[j*r+i : j*r+i+w]
+		for u := range dst {
+			dst[u] = 0 + cols[u*c+j]
+		}
 	}
-	for p := 0; p+twinPanel <= c; p += twinPanel {
-		dst := t.panels[p*r+i*twinPanel : p*r+(i+1)*twinPanel]
-		for k, v := range col[p : p+twinPanel] {
-			dst[k] = 0 + v
+	for u := 0; u < w; u++ {
+		col := cols[u*c : u*c+c]
+		for p := 0; p+twinPanel <= c; p += twinPanel {
+			dst := t.panels[p*r+(i+u)*twinPanel : p*r+(i+u+1)*twinPanel]
+			for k, v := range col[p : p+twinPanel] {
+				dst[k] = 0 + v
+			}
 		}
 	}
 	t.frob.invalidate()

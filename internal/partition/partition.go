@@ -224,6 +224,24 @@ func (p *Partition) Global(i, j int) uint64 {
 	return p.rowBits[i] | p.colBits[j]
 }
 
+// CellBits returns, for each input variable b, the bits it sets in the
+// row-major cell index i·Cols() + j of the cell that holds an input
+// pattern x, which is then the OR of CellBits()[b] over the set bits b
+// of x: a variable of B sets one bit of j, a variable of A one bit of i
+// (above the |B| bits of j), and a shared variable one of each. Under a
+// disjoint partition every entry is a single bit and the cell indices
+// are a permutation of the patterns' bits.
+func (p *Partition) CellBits() []uint64 {
+	cell := make([]uint64, p.n)
+	for s, b := range p.posB {
+		cell[b] |= 1 << uint(s)
+	}
+	for s, b := range p.posA {
+		cell[b] |= 1 << uint(len(p.posB)+s)
+	}
+	return cell
+}
+
 // Disjoint reports whether A and B share no variables (the paper's
 // setting; Valid is then vacuously true).
 func (p *Partition) Disjoint() bool { return p.sharedRow == nil }

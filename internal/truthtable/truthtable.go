@@ -86,8 +86,10 @@ func FromOutputs(n, m int, outputs []uint64) (*Table, error) {
 // It is the inverse of FromOutputs and allocates a fresh slice.
 func (t *Table) Outputs() []uint64 {
 	out := make([]uint64, t.Size())
-	for x := range out {
-		out[x] = t.Output(uint64(x))
+	var block [64]uint64
+	for x := 0; x < len(out); x += 64 {
+		t.OutputWords(x>>6, &block)
+		copy(out[x:], block[:])
 	}
 	return out
 }
