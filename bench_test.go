@@ -269,9 +269,34 @@ func BenchmarkAblationCoupling(b *testing.B) {
 }
 
 // BenchmarkCoreSolveN16 times one proposed core-COP solve at the Fig. 4
-// problem size (r = 128, c = 512, 768 spins).
+// problem size (r = 128, c = 512, 768 spins). Its multiplier instance
+// repeats little of its field-product work from one product to the next
+// (~14-19% of the multiply-adds come before the first changed input), so
+// it is the low-share row beside BenchmarkCoreSolveFig4.
 func BenchmarkCoreSolveN16(b *testing.B) {
 	cop, err := experiments.SampleCOP("multiplier", 16, 8, 7, core.Joint, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultSolverOptions()
+	opts.SB.Stop = &sb.StopCriteria{F: 10, S: 10, Epsilon: 1e-8}
+	var cost float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cost = core.SolveBSB(context.Background(), cop, opts).Cost
+	}
+	b.ReportMetric(cost, "cost")
+}
+
+// BenchmarkCoreSolveFig4 times one proposed core-COP solve on a Fig. 4
+// instance at the same size as BenchmarkCoreSolveN16: component 8 of cos
+// at n = 16, |A| = 7, joint mode. About 40% of its field-product
+// multiply-adds repeat the previous product's (Fig. 4 solves range from
+// ~3% to ~80%, about half on average), the work the lanes' product
+// caches skip.
+func BenchmarkCoreSolveFig4(b *testing.B) {
+	cop, err := experiments.SampleCOP("cos", 16, 8, 7, core.Joint, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

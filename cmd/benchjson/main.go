@@ -5,6 +5,13 @@
 //
 //	go run ./cmd/benchjson -out BENCH_PR4.json
 //	go run ./cmd/benchjson -bench 'FieldBatch' -benchtime 500ms
+//	go run ./cmd/benchjson -out BENCH_new.json -compare BENCH_prev.json
+//
+// With -compare, benchjson also prints, for every benchmark in both the
+// fresh run and the given earlier artifact, the change of the median
+// ns/op and a flag when the fresh median falls outside the earlier
+// run's min–max band. The comparison is a report: it never changes the
+// exit status.
 //
 // The tool shells out to `go test -bench` (so the numbers are exactly
 // what any contributor can reproduce) and parses the standard benchmark
@@ -24,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"slices"
@@ -70,11 +78,21 @@ type report struct {
 func main() {
 	var (
 		out       = flag.String("out", "", "output file (default stdout)")
-		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|CoreSolveN9|BipartiteField|NewJointCOP|FormulateN16|Theorem3|WallStep|EvaluateN16|VerifyN16", "benchmark regexp passed to go test")
+		benchRe   = flag.String("bench", "FieldBatch|FieldColumns|FieldSigns|SolveFused|CoreSolveN16|CoreSolveFig4|CoreSolveN9|BipartiteField|TwinFieldCached|NewJointCOP|FormulateN16|Theorem3|WallStep|EvaluateN16|VerifyN16", "benchmark regexp passed to go test")
 		benchTime = flag.String("benchtime", "300ms", "go test -benchtime value")
 		pkgs      = flag.String("pkgs", "./internal/ising,./internal/sb,./internal/core,.", "comma-separated packages to benchmark")
+		compare   = flag.String("compare", "", "earlier benchjson artifact to compare the fresh medians against (a report on stderr)")
 	)
 	flag.Parse()
+
+	var prev *report
+	if *compare != "" {
+		var err error
+		if prev, err = readReport(*compare); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+	}
 
 	var lines bytes.Buffer
 	for pass := 0; pass < sampleCount; pass++ {
@@ -98,6 +116,10 @@ func main() {
 		Count:       sampleCount,
 		Results:     results,
 		Speedups:    deriveSpeedups(results),
+	}
+	if prev != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: medians against %s\n", *compare)
+		writeComparison(os.Stderr, prev.Results, rep.Results)
 	}
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -216,7 +238,9 @@ func cpuSuffix(name string) string {
 // bit-packed popcount versions (kernel-level and end-to-end), and the
 // two-pass twin Field and its Go kernel vs the AVX2 kernel and the AVX2
 // kernel vs the AVX-512 kernel (FieldU too), the Theorem-3 cost sums vs
-// the sign of the U-side field, and the Go SB step vs the AVX2 step.
+// the sign of the U-side field and that field vs a repeated-sign hook
+// call, the Go SB step vs the AVX2 step, and the twin Field vs
+// FieldCached at each share of repeated terms.
 // Ratios compare the records' median ns/op.
 func deriveSpeedups(results []benchResult) []speedup {
 	byName := make(map[string]benchResult, len(results))
@@ -244,6 +268,8 @@ func deriveSpeedups(results []benchResult) []speedup {
 		{"BenchmarkBipartiteField/avx2-u", "BenchmarkBipartiteField/avx512-u"},
 		{"BenchmarkTheorem3N16/costsums", "BenchmarkTheorem3N16/fieldsign"},
 		{"BenchmarkWallStep/go", "BenchmarkWallStep/avx2"},
+		{"BenchmarkTwinFieldCached/field", "BenchmarkTwinFieldCached/cached"},
+		{"BenchmarkTheorem3N16/fieldsign", "BenchmarkTheorem3N16/repeat"},
 	}
 	var out []speedup
 	for _, r := range results {
@@ -267,6 +293,50 @@ func deriveSpeedups(results []benchResult) []speedup {
 		}
 	}
 	return out
+}
+
+// readReport loads an earlier benchjson artifact.
+func readReport(path string) (*report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &rep, nil
+}
+
+// writeComparison prints one line per benchmark present in both prev
+// and cur, in cur's order: the two medians, the relative change of the
+// median, and "outside" when cur's median lies outside prev's min–max
+// band (an artifact without a band, from before benchjson kept one,
+// counts its median as the band). It returns the number of flagged
+// benchmarks.
+func writeComparison(w io.Writer, prev, cur []benchResult) int {
+	byName := make(map[string]benchResult, len(prev))
+	for _, r := range prev {
+		byName[r.Name] = r
+	}
+	flagged := 0
+	for _, c := range cur {
+		p, ok := byName[c.Name]
+		if !ok || p.NsOp == 0 {
+			continue
+		}
+		lo, hi := p.NsMin, p.NsMax
+		if lo == 0 && hi == 0 {
+			lo, hi = p.NsOp, p.NsOp
+		}
+		mark := ""
+		if c.NsOp < lo || c.NsOp > hi {
+			mark = "  outside"
+			flagged++
+		}
+		fmt.Fprintf(w, "%-60s %14.0f -> %14.0f ns/op %+7.1f%%%s\n", c.Name, p.NsOp, c.NsOp, 100*(c.NsOp/p.NsOp-1), mark)
+	}
+	return flagged
 }
 
 func goVersion() string {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -63,5 +64,44 @@ PASS
 	sp := deriveSpeedups(res)
 	if len(sp) != 2 || sp[0].Ratio != 26000.0/19500 || sp[1].Ratio != 110.0/45 {
 		t.Fatalf("speedups %+v, want the avx2 → avx512 and go → avx2 pairs at the median ratios", sp)
+	}
+}
+
+// TestWriteComparisonFlagsOutsideBand: -compare reports every benchmark
+// in both runs with its median change, flags a median outside the
+// earlier min–max band (either side), leaves one inside unflagged, skips
+// benchmarks missing from either run, and treats an earlier record
+// without a band as a band of its median.
+func TestWriteComparisonFlagsOutsideBand(t *testing.T) {
+	prev := []benchResult{
+		{Name: "BenchmarkA", NsOp: 100, NsMin: 90, NsMax: 120},
+		{Name: "BenchmarkB", NsOp: 100, NsMin: 90, NsMax: 120},
+		{Name: "BenchmarkC", NsOp: 100, NsMin: 90, NsMax: 120},
+		{Name: "BenchmarkOld", NsOp: 100},
+		{Name: "BenchmarkGone", NsOp: 5},
+	}
+	cur := []benchResult{
+		{Name: "BenchmarkA", NsOp: 80},
+		{Name: "BenchmarkB", NsOp: 110},
+		{Name: "BenchmarkC", NsOp: 150},
+		{Name: "BenchmarkOld", NsOp: 100},
+		{Name: "BenchmarkNew", NsOp: 7},
+	}
+	var out bytes.Buffer
+	if n := writeComparison(&out, prev, cur); n != 2 {
+		t.Fatalf("%d flagged, want 2 (A below, C above the band):\n%s", n, out.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("%d lines, want one per shared benchmark:\n%s", len(lines), out.String())
+	}
+	for i, want := range []struct {
+		name, delta string
+		outside     bool
+	}{{"BenchmarkA", "-20.0%", true}, {"BenchmarkB", "+10.0%", false}, {"BenchmarkC", "+50.0%", true}, {"BenchmarkOld", "+0.0%", false}} {
+		l := lines[i]
+		if !strings.HasPrefix(l, want.name+" ") || !strings.Contains(l, want.delta) || strings.HasSuffix(l, "outside") != want.outside {
+			t.Errorf("line %d %q, want %s %s outside=%v", i, l, want.name, want.delta, want.outside)
+		}
 	}
 }

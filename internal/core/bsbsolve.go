@@ -107,34 +107,43 @@ func SolveBSB(ctx context.Context, cop *COP, opts SolverOptions) Solution {
 // |F_j| does not clear its bound B_j — or whose F_j or B_j is not
 // finite — recomputes its two cost sums in optimalTInto's order, so the
 // result equals optimalTInto's bit for bit for every cost distribution.
+//
+// T depends only on the signs and the formulation, so a call that sees
+// the signs of the previous call, whichever lane made it, reuses its T
+// and skips the product and the bound scan.
 func theorem3Hook(f *Formulation) func(iter int, x, y []float64) {
 	cop := f.COP
 	c, r := cop.C, cop.R
 	coup := f.Problem.Coup.(*ising.Twin)
 	signs := make([]float64, f.NumSpins()) // the T entries stay 0: FieldU reads only V
-	field := make([]float64, c)
+	field := make([]float64, c)            // FieldU's output, then the T it decides as ±1 positions
 	return func(_ int, x, y []float64) {
+		same := true // never on the first call: signs starts at 0
 		for k := c; k < c+2*r; k++ {
+			s := -1.0
 			if x[k] >= 0 {
-				signs[k] = 1
-			} else {
-				signs[k] = -1
+				s = 1
+			}
+			if s != signs[k] {
+				signs[k], same = s, false
 			}
 		}
-		coup.FieldU(signs, field)
-		for j, fj := range field {
-			t := fj > 0
-			if a, b := math.Abs(fj), f.tBound[j]; !(a > b || a == 0 && b == 0) {
-				cost1, cost2 := cop.columnCosts(j, signs[c:c+r], signs[c+r:c+2*r])
-				t = cost2 < cost1
+		if !same {
+			coup.FieldU(signs, field)
+			for j, fj := range field {
+				t := fj > 0
+				if a, b := math.Abs(fj), f.tBound[j]; !(a > b || a == 0 && b == 0) {
+					cost1, cost2 := cop.columnCosts(j, signs[c:c+r], signs[c+r:c+2*r])
+					t = cost2 < cost1
+				}
+				field[j] = -1
+				if t {
+					field[j] = 1
+				}
 			}
-			if t {
-				x[j] = 1
-			} else {
-				x[j] = -1
-			}
-			y[j] = 0
 		}
+		copy(x[:c], field)
+		clear(y[:c])
 	}
 }
 

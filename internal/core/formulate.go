@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 
 	"isinglut/internal/bitvec"
@@ -62,7 +61,7 @@ func formulateInto(cop *COP, coup *ising.Twin) *Formulation {
 	h := make([]float64, n)
 	block := make([]float64, min(r, formulateRows)*c) // Q's columns i0.. : the q of pattern rows i0..
 	mass := make([]float64, c)                        // per column: sum of |cost0| + |cost1|
-	grain := make([]int, c)                           // per column: min lowBitExp over its costs
+	grain := make([]int, c)                           // per column: min LowBitExp over its costs
 	for j := range grain {
 		grain[j] = math.MaxInt
 	}
@@ -102,7 +101,7 @@ func formulateRow(offset float64, cost0, cost1, q, mass []float64, grain []int) 
 		hi -= qij
 		q[j] = qij // T_j with V1_i; T_j with V2_i is 0 - q
 		mass[j] += math.Abs(c0) + math.Abs(c1)
-		grain[j] = min(grain[j], lowBitExp(c0), lowBitExp(c1))
+		grain[j] = min(grain[j], ising.LowBitExp(c0), ising.LowBitExp(c1))
 	}
 	return offset, hi
 }
@@ -122,21 +121,6 @@ func getTwin(c, r int) *ising.Twin {
 		}
 	}
 	return ising.NewTwin(c, r)
-}
-
-// lowBitExp returns the exponent of the lowest set significand bit of
-// v, so that v is an integer multiple of 2^lowBitExp(v); for zero,
-// a multiple of every power of two, it returns math.MaxInt. The value
-// for ±Inf and NaN is meaningless: theorem3Bound rejects their mass.
-func lowBitExp(v float64) int {
-	b := math.Float64bits(v)
-	if b<<1 == 0 {
-		return math.MaxInt
-	}
-	// A subnormal has the exponent of the smallest normal and no
-	// implicit bit; setting bit 52 leaves the trailing-zero count of a
-	// nonzero subnormal significand unchanged.
-	return max(int(b>>52&0x7ff), 1) - 1075 + bits.TrailingZeros64(b|1<<52)
 }
 
 // theorem3Bound returns B_j for a column whose costs have absolute sum

@@ -7,6 +7,7 @@ import (
 
 	"isinglut/internal/benchfn"
 	"isinglut/internal/bitvec"
+	"isinglut/internal/ising"
 	"isinglut/internal/partition"
 )
 
@@ -116,7 +117,7 @@ func TestTheorem3HookAllocFree(t *testing.T) {
 }
 
 // TestTheorem3BoundExactness pins when the hook may trust a zero
-// field: lowBitExp finds the grain of normal, subnormal and zero costs,
+// field: ising.LowBitExp finds the grain of normal, subnormal and zero costs,
 // columns of dyadic costs get B_j = 0 (the uniform-distribution case),
 // non-dyadic ones a positive finite bound, and a column with a
 // non-finite cost +Inf.
@@ -126,12 +127,12 @@ func TestTheorem3BoundExactness(t *testing.T) {
 		math.SmallestNonzeroFloat64: -1074, 3 * math.SmallestNonzeroFloat64: -1074,
 		0x1p-1022: -1022, 0.1: -55,
 	} {
-		if got := lowBitExp(v); got != want {
-			t.Errorf("lowBitExp(%v) = %d, want %d", v, got, want)
+		if got := ising.LowBitExp(v); got != want {
+			t.Errorf("LowBitExp(%v) = %d, want %d", v, got, want)
 		}
 	}
-	if lowBitExp(0) != math.MaxInt || lowBitExp(math.Copysign(0, -1)) != math.MaxInt {
-		t.Error("lowBitExp(±0) is not MaxInt")
+	if ising.LowBitExp(0) != math.MaxInt || ising.LowBitExp(math.Copysign(0, -1)) != math.MaxInt {
+		t.Error("LowBitExp(±0) is not MaxInt")
 	}
 	rng := rand.New(rand.NewSource(16))
 	for j, b := range Formulate(tieCOP(rng, 16, 40)).tBound {
@@ -242,7 +243,8 @@ func TestTheorem3HookMatchesCostSums(t *testing.T) {
 // c = 512) at fixed random positions: the column cost sums (pattern
 // read-off plus optimalTInto) against the hook's sign of the T-side
 // field (sign vector, one FieldU product, the bound checks and the
-// clamp).
+// clamp), on positions whose signs alternate between two patterns, and
+// the hook on positions whose signs repeat, where it reuses its last T.
 func BenchmarkTheorem3N16(b *testing.B) {
 	exact, err := benchfn.Build("multiplier", 16)
 	if err != nil {
@@ -266,11 +268,69 @@ func BenchmarkTheorem3N16(b *testing.B) {
 			cop.optimalTInto(v1, v2, t, scratch)
 		}
 	})
+	flipped := append([]float64(nil), x...)
+	flipped[f.V1Index(0)] = -x[f.V1Index(0)]
 	b.Run("fieldsign/"+shape, func(b *testing.B) {
+		hook := theorem3Hook(f)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i&1 == 0 {
+				hook(0, x, y)
+			} else {
+				hook(0, flipped, y)
+			}
+		}
+	})
+	b.Run("repeat/"+shape, func(b *testing.B) {
 		hook := theorem3Hook(f)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			hook(0, x, y)
 		}
 	})
+}
+
+// TestTheorem3HookReusesRepeatedSigns: one hook serving two lanes whose
+// calls interleave, with sign vectors that repeat, change in one
+// position or change entirely between calls, clamps exactly as a fresh
+// hook does on every call, on dyadic COPs and on COPs whose costs are
+// multiples of 0.1 (where columns fall back to their cost sums).
+func TestTheorem3HookReusesRepeatedSigns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, cop := range []*COP{tieCOP(rng, 16, 64), decimalTieCOP(rng, 9, 70)} {
+		f := Formulate(cop)
+		shared := theorem3Hook(f)
+		lanes := [2][]float64{nearTiePositions(rng, f, 0.9), nearTiePositions(rng, f, 0.5)}
+		for call := 0; call < 60; call++ {
+			l := call % 2
+			if call%3 == 0 {
+				l = 1 - l // two calls in a row from one lane
+			}
+			x := lanes[l]
+			switch rng.Intn(4) {
+			case 0: // one V sign flips
+				i := f.V1Index(rng.Intn(cop.R)) + rng.Intn(2)*cop.R
+				x[i] = -x[i] - 0.5
+			case 1: // a new pattern
+				copy(x, nearTiePositions(rng, f, 0.7))
+			case 2: // the magnitudes move, the signs stay
+				for i := cop.C; i < len(x); i++ {
+					x[i] *= 0.5
+				}
+			}
+			want, wy := append([]float64(nil), x...), make([]float64, len(x))
+			theorem3Hook(f)(call, want, wy)
+			y := make([]float64, len(x))
+			for i := range y {
+				y[i] = 1
+			}
+			shared(call, x, y)
+			for j := 0; j < cop.C; j++ {
+				if math.Float64bits(x[j]) != math.Float64bits(want[j]) || y[j] != 0 {
+					t.Fatalf("%d×%d call %d lane %d: T_%d = %v (momentum %v), fresh hook %v",
+						cop.R, cop.C, call, l, j, x[j], y[j], want[j])
+				}
+			}
+		}
+	}
 }

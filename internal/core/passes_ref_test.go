@@ -106,7 +106,7 @@ func formulateRef(cop *COP) *Formulation {
 			hi -= qij
 			q[j] = qij
 			mass[j] += math.Abs(c0) + math.Abs(c1)
-			grain[j] = min(grain[j], lowBitExp(c0), lowBitExp(c1))
+			grain[j] = min(grain[j], ising.LowBitExp(c0), ising.LowBitExp(c1))
 		}
 		h[c+i], h[c+r+i] = hi, hi
 		coup.SetColumn(i, q)

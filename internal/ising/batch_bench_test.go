@@ -268,12 +268,12 @@ func BenchmarkBipartiteField(b *testing.B) {
 			runs  bool // the CPU has the kernel's instruction set
 		}{
 			{"twopass", tw.fieldTwoPass, true},
-			{"go", tw.fieldGo, true},
-			{"avx2", tw.fieldAVX2, hasAVX2},
-			{"avx512", tw.fieldAVX512, hasAVX512},
-			{"go-u", tw.fieldUGo, true},
-			{"avx2-u", tw.fieldUAVX2, hasAVX2},
-			{"avx512-u", tw.fieldUAVX512, hasAVX512},
+			{"go", tw.familyField(familyGo), true},
+			{"avx2", tw.familyField(familyAVX2), hasAVX2},
+			{"avx512", tw.familyField(familyAVX512), hasAVX512},
+			{"go-u", tw.familyFieldU(familyGo), true},
+			{"avx2-u", tw.familyFieldU(familyAVX2), hasAVX2},
+			{"avx512-u", tw.familyFieldU(familyAVX512), hasAVX512},
 		}
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/%dx%d", k.name, c, r), func(b *testing.B) {
@@ -284,6 +284,53 @@ func BenchmarkBipartiteField(b *testing.B) {
 				b.SetBytes(int64(8 * c * r))
 				for i := 0; i < b.N; i++ {
 					k.field(x, out)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkTwinFieldCached times FieldCached on the Fig. 4 core-COP
+// shape and the n = 9 serve shape against Field on the same inputs. Each
+// iteration alternates between two input vectors that agree on a share
+// of each side's leading terms: none of them (the cache's overhead over
+// a full product), half of them, or all of them (a repeated product).
+func BenchmarkTwinFieldCached(b *testing.B) {
+	for _, s := range [][2]int{{512, 128}, {32, 16}} {
+		c, r := s[0], s[1]
+		tw := randomTwinCoupler(c, r, 1)
+		n := tw.N()
+		for _, share := range []struct {
+			name string
+			frac float64 // of each side's terms before the first difference
+		}{{"none", 0}, {"half", 0.5}, {"all", 1}} {
+			xa := randomBlock(n, 1, 2, 0)
+			xb := append([]float64(nil), xa...)
+			if share.frac < 1 {
+				xb[int(share.frac*float64(c))] += 1
+				xb[c+int(share.frac*float64(2*r))] += 1
+			}
+			out := make([]float64, n)
+			b.Run(fmt.Sprintf("field/%s/%dx%d", share.name, c, r), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if i&1 == 0 {
+						tw.Field(xa, out)
+					} else {
+						tw.Field(xb, out)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("cached/%s/%dx%d", share.name, c, r), func(b *testing.B) {
+				var tc TwinCache
+				tc.Reserve(tw)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i&1 == 0 {
+						tw.FieldCached(xa, out, &tc)
+					} else {
+						tw.FieldCached(xb, out, &tc)
+					}
 				}
 			})
 		}

@@ -47,33 +47,39 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register XCR0.
 func xgetbv() (eax, edx uint32)
 
-// twinPanelAVX2 writes the U-side outputs of one 32-row panel into s:
-// row k's sum adds panel[i*32+k]·x1[i] over ascending i from +0, then
-// subtracts panel[i*32+k]·x2[i] over ascending i. len(panel) must be at
-// least 32·len(x1), and len(x2) at least len(x1).
+// twinPanelAVX2 runs the U-side chains of one 32-row panel and writes
+// their sums into s: row k's chain adds p1[i*32+k]·x1[i] over ascending
+// i, then subtracts p2[i*32+k]·x2[i] over ascending i, continuing from
+// from[k] when from is not empty and from +0 otherwise. When ck is not
+// empty, the sums after every 16 terms go to consecutive slots
+// ck[m*ckStride : m*ckStride+32]. len(p1) must be at least 32·len(x1),
+// len(p2) at least 32·len(x2), and from, when not empty, 32 long.
 //
 //go:noescape
-func twinPanelAVX2(panel, x1, x2 []float64, s *[32]float64)
+func twinPanelAVX2(p1, x1, p2, x2 []float64, s *[32]float64, from, ck []float64, ckStride int)
 
-// twinRank1x16AVX2 writes 16 W1-side outputs into s1 and their W2 twins
-// into s2: s1[k] adds q[j*stride+k]·xu[j] over ascending j from +0, for
-// j < len(xu), and s2[k] = 0 − s1[k]. len(q) must be at least
+// twinRank1x16AVX2 runs 16 W-side chains and writes their sums into s1
+// and their W2 twins into s2: s1[k] adds q[j*stride+k]·xu[j] over
+// ascending j, for j < len(xu), continuing from from[k] when from is not
+// empty and from +0 otherwise, and s2[k] = 0 − s1[k]. When ck is not
+// empty, the sums after every 32 terms go to consecutive slots
+// ck[m*stride : m*stride+16]. len(q) must be at least
 // (len(xu)-1)·stride+16.
 //
 //go:noescape
-func twinRank1x16AVX2(q []float64, stride int, xu []float64, s1, s2 *[16]float64)
+func twinRank1x16AVX2(q []float64, stride int, xu []float64, s1, s2 *[16]float64, from, ck []float64)
 
 // twinRank1x4AVX2 is twinRank1x16AVX2 for 4 columns.
 //
 //go:noescape
-func twinRank1x4AVX2(q []float64, stride int, xu []float64, s1, s2 *[4]float64)
+func twinRank1x4AVX2(q []float64, stride int, xu []float64, s1, s2 *[4]float64, from, ck []float64)
 
 // twinPanelAVX512 is twinPanelAVX2 for AVX-512 CPUs.
 //
 //go:noescape
-func twinPanelAVX512(panel, x1, x2 []float64, s *[32]float64)
+func twinPanelAVX512(p1, x1, p2, x2 []float64, s *[32]float64, from, ck []float64, ckStride int)
 
 // twinRank1x64AVX512 is twinRank1x16AVX2 for 64 columns on AVX-512 CPUs.
 //
 //go:noescape
-func twinRank1x64AVX512(q []float64, stride int, xu []float64, s1, s2 *[64]float64)
+func twinRank1x64AVX512(q []float64, stride int, xu []float64, s1, s2 *[64]float64, from, ck []float64)

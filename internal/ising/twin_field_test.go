@@ -75,18 +75,41 @@ type twinKernel struct {
 	field, fieldU func(x, out []float64)
 }
 
-// finiteKernels lists the finite-block kernels that run on this host,
-// each called directly: the Go kernels everywhere, the AVX2 assembly
-// kernels where the CPU has AVX2 (AVX-512 hosts included, though Field
-// runs the AVX-512 ones there) and the AVX-512 kernels where it has
+// hostFamilies lists the kernel families that run on this host: Go
+// everywhere, AVX2 where the CPU has AVX2 (AVX-512 hosts included,
+// though Field runs the AVX-512 family there) and AVX-512 where it has
 // AVX-512.
-func finiteKernels(b *Twin) map[string]twinKernel {
-	k := map[string]twinKernel{"go": {b.fieldGo, b.fieldUGo}}
+func hostFamilies() map[string]twinFamily {
+	f := map[string]twinFamily{"go": familyGo}
 	if hasAVX2 {
-		k["avx2"] = twinKernel{b.fieldAVX2, b.fieldUAVX2}
+		f["avx2"] = familyAVX2
 	}
 	if hasAVX512 {
-		k["avx512"] = twinKernel{b.fieldAVX512, b.fieldUAVX512}
+		f["avx512"] = familyAVX512
+	}
+	return f
+}
+
+// familyField is Field's finite-block product on family f's kernels,
+// run from term 0 without checkpoints.
+func (t *Twin) familyField(f twinFamily) func(x, out []float64) {
+	return func(x, out []float64) {
+		t.uChains(f, x, out, 0, nil, nil)
+		t.wChains(f, x, out, 0, nil, nil)
+	}
+}
+
+// familyFieldU is FieldU's finite-block product on family f's kernels.
+func (t *Twin) familyFieldU(f twinFamily) func(x, out []float64) {
+	return func(x, out []float64) { t.uChains(f, x, out, 0, nil, nil) }
+}
+
+// finiteKernels lists the finite-block kernel pairs of hostFamilies,
+// each called directly.
+func finiteKernels(b *Twin) map[string]twinKernel {
+	k := map[string]twinKernel{}
+	for name, f := range hostFamilies() {
+		k[name] = twinKernel{b.familyField(f), b.familyFieldU(f)}
 	}
 	return k
 }

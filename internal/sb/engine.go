@@ -89,7 +89,21 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 		planes, _ = ising.NewPlanes(quant, replicas)
 	}
 
-	ws.ensure(n, replicas)
+	// On a twin coupler each lane keeps its last product's partial sums
+	// (ising.TwinCache), and its step, stop-check and sample-point
+	// products resume where their inputs changed: bSB's walls and the
+	// Theorem-3 clamp hold most positions at exactly ±1 from one product
+	// to the next. Below ising's shape rule the cache costs more than it
+	// saves, and other couplers have none.
+	tw, _ := p.Coup.(*ising.Twin)
+	if tw != nil && (!tw.CachePays() || noTwinCache) {
+		tw = nil
+	}
+	ws.ensure(n, replicas, tw)
+	var caches []ising.TwinCache // nil: FieldBatch products
+	if tw != nil {
+		caches = ws.caches[:replicas]
+	}
 	for k := range ws.reps {
 		ws.reps[k] = replicaState{bestE: math.Inf(1), lastSampled: -1}
 	}
@@ -106,6 +120,12 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 		ws.seedLane(l, n, params.Seed+int64(l), params.InitAmplitude)
 	}
 	active := launch
+	// field writes the products of the first active lanes of block x
+	// into ws.fld.
+	field := func(x []float64) {
+		ab := active * n
+		ising.FieldBatchCached(p.Coup, x[:ab], ws.fld[:ab], active, caches)
+	}
 	// The divergence guard's position scan applies only to the
 	// wall-clamped variants, whose positions live in [-1, 1] by
 	// construction — there a non-finite entry proves a corrupted state.
@@ -199,8 +219,12 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 			copy(ws.sgn[l*n:l*n+n], ws.sgn[last*n:last*n+n])
 			copy(ws.fld[l*n:l*n+n], ws.fld[last*n:last*n+n])
 			// Swap the structs (not just copy) so the retired lane's
-			// window ring buffer stays owned by exactly one slot.
+			// window ring buffer and product cache stay owned by
+			// exactly one slot.
 			ws.lanes[l], ws.lanes[last] = ws.lanes[last], ws.lanes[l]
+			if caches != nil {
+				caches[l], caches[last] = caches[last], caches[l]
+			}
 		}
 		active--
 	}
@@ -221,7 +245,7 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 				xs[i] = float64(s)
 			}
 		}
-		ising.FieldBatch(p.Coup, ws.xs[:active*n], ws.fld[:active*n], active)
+		field(ws.xs)
 		for l := active - 1; l >= 0; l-- {
 			if record(l, it, laneEnergy(p, ws.xs[l*n:l*n+n], ws.fld[l*n:l*n+n])) {
 				continue
@@ -261,9 +285,9 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 		case quant != nil:
 			quant.FieldSignsBatch(ws.sgn[:ab], ws.fld[:ab], active)
 		case params.Variant == Discrete:
-			ising.FieldBatch(p.Coup, ws.sgn[:ab], ws.fld[:ab], active)
+			field(ws.sgn)
 		default:
-			ising.FieldBatch(p.Coup, ws.x[:ab], ws.fld[:ab], active)
+			field(ws.x)
 		}
 
 		// The step adds the bias to the field as it reads it: the biased
@@ -303,8 +327,7 @@ func (ws *Workspace) run(ctx context.Context, p *ising.Problem, params Params, r
 		// stretches while the positions still move toward a better basin,
 		// so testing it would stop too early.
 		if stopF > 0 && it%stopF == 0 && active > 0 {
-			ab = active * n
-			ising.FieldBatch(p.Coup, ws.x[:ab], ws.fld[:ab], active)
+			field(ws.x)
 			fieldFresh = params.Variant != Discrete
 			for l := active - 1; l >= 0; l-- {
 				w := &ws.lanes[l].window

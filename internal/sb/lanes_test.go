@@ -227,7 +227,19 @@ func TestSolveFusedCancelMidRun(t *testing.T) {
 // step budget (and with it every per-step code path) must not change the
 // allocation count.
 func TestSolveFusedStepAllocs(t *testing.T) {
-	p := randomProblem(24, 45)
+	for _, tc := range []struct {
+		name string
+		p    *ising.Problem
+	}{{"dense", randomProblem(24, 45)}, {"twin", bipartiteProblem(96, 48, 45)}} {
+		assertBatchAllocsConstant(t, tc.name, tc.p)
+	}
+}
+
+// assertBatchAllocsConstant checks that a warm batch's allocations do
+// not grow with the step count and stay at the Stats slices, on every
+// variant.
+func assertBatchAllocsConstant(t *testing.T, name string, p *ising.Problem) {
+	t.Helper()
 	for _, v := range []Variant{Ballistic, Adiabatic, Discrete} {
 		base := DefaultParamsFor(v)
 		base.Stop = &StopCriteria{F: 10, S: 5, Epsilon: 1e-300} // windows engaged, never fires
@@ -242,12 +254,12 @@ func TestSolveFusedStepAllocs(t *testing.T) {
 		}
 		short, long := measure(100), measure(200)
 		if short != long {
-			t.Errorf("%v: allocations scale with steps (%.1f at 100, %.1f at 200); the per-step path allocates", v, short, long)
+			t.Errorf("%s/%v: allocations scale with steps (%.1f at 100, %.1f at 200); the per-step path allocates", name, v, short, long)
 		}
 		// The constant is the Stats slices; anything larger means the
 		// engine grew a hidden per-call allocation.
 		if long > 6 {
-			t.Errorf("%v: %f allocations per batch call, want <= 6 (Stats slices only)", v, long)
+			t.Errorf("%s/%v: %f allocations per batch call, want <= 6 (Stats slices only)", name, v, long)
 		}
 	}
 }
@@ -323,4 +335,76 @@ func TestSolveFusedWorkspaceReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withoutTwinCache runs f with the lane product caches off.
+func withoutTwinCache(f func()) {
+	noTwinCache = true
+	defer func() { noTwinCache = false }()
+	f()
+}
+
+// TestTwinCacheTrajectoryBitIdentical pins the lane product caches: on
+// twins the shape rule accepts (c mod 32 and r mod 16 both nonzero in
+// one of them), every variant's batch, with a steering hook and a
+// staggered stop that retires lanes out of order (so compaction moves
+// caches between slots), visits the same states bit for bit as the
+// engine without caches — a stateDigest over every sampled x and y —
+// and every lane equals its r = 1 solve.
+func TestTwinCacheTrajectoryBitIdentical(t *testing.T) {
+	for _, shape := range [][2]int{{97, 45}, {64, 64}} {
+		p := bipartiteProblem(shape[0], shape[1], int64(shape[0]))
+		if !p.Coup.(*ising.Twin).CachePays() {
+			t.Fatalf("%v: the shape rule rejects the test twin", shape)
+		}
+		outOfOrder := false
+		for _, v := range []Variant{Ballistic, Adiabatic, Discrete} {
+			for _, hooked := range []bool{false, true} {
+				base := DefaultParamsFor(v)
+				base.Steps = 300
+				base.Seed = 5
+				base.SampleEvery = 7
+				base.Stop = &StopCriteria{F: 3, S: 4, Epsilon: 5e-2, MinIters: 20}
+				label := fmt.Sprintf("%dx%d/%v/hooked=%v", shape[0], shape[1], v, hooked)
+				run := func() (uint64, Stats) {
+					var d stateDigest
+					bp := BatchParams{Base: base, Replicas: 5}
+					bp.Base.OnSample = func(iter int, x, y []float64) {
+						if hooked {
+							steerHook(iter, x, y)
+						}
+						d.hook(iter, x, y)
+					}
+					_, st := SolveBatch(context.Background(), p, bp)
+					return d.sum, st
+				}
+				cached, st := run()
+				var plain uint64
+				withoutTwinCache(func() { plain, _ = run() })
+				if cached != plain {
+					t.Fatalf("%s: cached lanes visit other states than uncached ones", label)
+				}
+				outOfOrder = outOfOrder || !inOrder(st.Iterations)
+				bp := BatchParams{Base: base, Replicas: 5}
+				if hooked {
+					bp.Base.OnSample = steerHook
+				}
+				assertLanesMatchSingles(t, label, p, bp, nil)
+			}
+		}
+		if !outOfOrder {
+			t.Fatalf("%v: no batch retired its lanes out of launch order", shape)
+		}
+	}
+}
+
+// inOrder reports whether the replicas' iteration counts never
+// decrease, i.e. no replica retired before a lower-indexed one.
+func inOrder(iters []int) bool {
+	for k := 1; k < len(iters); k++ {
+		if iters[k] < iters[k-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -49,6 +49,10 @@ var met = metrics.ForSolver("sb")
 // ising.field failpoint.
 var siteDiverge = fault.NewSite("sb.diverge")
 
+// noTwinCache, set only by tests, runs twin couplers without the lane
+// product caches, so a test can compare the two.
+var noTwinCache bool
+
 // isFinite reports v being neither NaN nor ±Inf: v-v is 0 for every
 // finite value and NaN otherwise.
 func isFinite(v float64) bool { return v-v == 0 }

@@ -3,6 +3,7 @@ package sb
 import (
 	"math/rand"
 
+	"isinglut/internal/ising"
 	"isinglut/internal/metrics"
 )
 
@@ -29,6 +30,10 @@ type Workspace struct {
 	reps  []replicaState // replica-indexed
 	lanes []laneState    // lane-indexed, compacted with the lanes
 	rng   *rand.Rand
+
+	// caches holds the lanes' twin product caches, lane-indexed and
+	// compacted with the lanes in a run that uses them.
+	caches []ising.TwinCache
 }
 
 // replicaState is one replica's running outcome.
@@ -58,13 +63,14 @@ type laneState struct {
 // new(Workspace)) works for any problem size and replica count.
 func NewWorkspace(n int) *Workspace {
 	ws := &Workspace{}
-	ws.ensure(n, 1)
+	ws.ensure(n, 1, nil)
 	return ws
 }
 
 // ensure sizes every buffer for an n-spin, r-replica run, reusing
-// existing capacity.
-func (ws *Workspace) ensure(n, r int) {
+// existing capacity, and, when tw is not nil, reserves one product cache
+// per lane for it.
+func (ws *Workspace) ensure(n, r int, tw *ising.Twin) {
 	if ws.rng == nil {
 		ws.rng = rand.New(rand.NewSource(0))
 	}
@@ -91,4 +97,12 @@ func (ws *Workspace) ensure(n, r int) {
 	}
 	ws.reps = ws.reps[:r]
 	ws.lanes = ws.lanes[:r]
+	if tw != nil {
+		if len(ws.caches) < r {
+			ws.caches = append(ws.caches, make([]ising.TwinCache, r-len(ws.caches))...)
+		}
+		for l := range ws.caches[:r] {
+			ws.caches[l].Reserve(tw)
+		}
+	}
 }
