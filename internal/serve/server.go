@@ -550,7 +550,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, met, started, http.StatusBadRequest, err.Error())
 		return
 	}
-	prob, sbOpts, err := s.buildSolve(&req)
+	sbOpts, err := s.solveOptions(&req)
 	if err != nil {
 		writeError(w, met, started, http.StatusBadRequest, err.Error())
 		return
@@ -573,6 +573,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	prob := req.problem()
 	var (
 		res           isinglut.IsingResult
 		runErr        error
@@ -760,65 +761,87 @@ func (s *Server) runBatchItem(r *http.Request, req *SolveRequest) SolveBatchItem
 }
 
 // buildSolve validates the wire problem and maps it onto the public
-// Ising API. Validation is exhaustive by design: every numeric field is
-// range- and finiteness-checked here so that no request body can reach
-// a solver panic (the sb parameter checks) or poison the dynamics with
-// a NaN/Inf — malformed input is the client's error (400), never a 500.
+// Ising API: solveOptions, then the problem.
 func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut.SBOptions, error) {
-	var opts isinglut.SBOptions
-	if req.N <= 1 {
-		return nil, opts, fmt.Errorf("n must be at least 2, got %d", req.N)
+	opts, err := s.solveOptions(req)
+	if err != nil {
+		return nil, opts, err
 	}
-	if req.N > s.cfg.MaxSpins {
-		return nil, opts, fmt.Errorf("n=%d exceeds the server limit of %d spins", req.N, s.cfg.MaxSpins)
-	}
-	if len(req.Biases) != 0 && len(req.Biases) != req.N {
-		return nil, opts, fmt.Errorf("biases has %d entries for n=%d", len(req.Biases), req.N)
-	}
-	if req.TimeoutMS < 0 {
-		return nil, opts, fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMS)
-	}
-	if req.Steps < 0 {
-		return nil, opts, fmt.Errorf("steps must be non-negative, got %d", req.Steps)
-	}
-	if req.Steps > s.cfg.MaxSteps {
-		return nil, opts, fmt.Errorf("steps=%d exceeds the server limit of %d", req.Steps, s.cfg.MaxSteps)
-	}
-	if math.IsNaN(req.Dt) || math.IsInf(req.Dt, 0) || req.Dt < 0 {
-		return nil, opts, fmt.Errorf("dt must be finite and non-negative, got %g", req.Dt)
-	}
-	if req.Replicas < 0 {
-		return nil, opts, fmt.Errorf("replicas must be non-negative, got %d", req.Replicas)
-	}
-	if req.Replicas > s.cfg.MaxReplicas {
-		return nil, opts, fmt.Errorf("replicas=%d exceeds the server limit of %d", req.Replicas, s.cfg.MaxReplicas)
-	}
-	if req.Workers < 0 {
-		return nil, opts, fmt.Errorf("workers must be non-negative, got %d", req.Workers)
-	}
-	if req.DynamicStop {
-		if req.F < 0 || req.S < 0 {
-			return nil, opts, fmt.Errorf("f and s must be non-negative, got f=%d s=%d", req.F, req.S)
-		}
-		if math.IsNaN(req.Epsilon) || math.IsInf(req.Epsilon, 0) || req.Epsilon < 0 {
-			return nil, opts, fmt.Errorf("epsilon must be finite and non-negative, got %g", req.Epsilon)
-		}
-	}
+	return req.problem(), opts, nil
+}
+
+// problem builds a request's Ising problem; solveOptions must have
+// accepted the request.
+func (req *SolveRequest) problem() *isinglut.IsingProblem {
 	p := isinglut.NewIsingProblem(req.N)
 	for _, c := range req.Couplings {
-		if c.I < 0 || c.I >= req.N || c.J < 0 || c.J >= req.N || c.I == c.J {
-			return nil, opts, fmt.Errorf("coupling (%d,%d) out of range for n=%d", c.I, c.J, req.N)
-		}
-		if math.IsNaN(c.V) || math.IsInf(c.V, 0) {
-			return nil, opts, fmt.Errorf("coupling (%d,%d) value must be finite, got %g", c.I, c.J, c.V)
-		}
 		p.SetCoupling(c.I, c.J, c.V)
 	}
 	for i, b := range req.Biases {
-		if math.IsNaN(b) || math.IsInf(b, 0) {
-			return nil, opts, fmt.Errorf("bias %d must be finite, got %g", i, b)
-		}
 		p.SetBias(i, b)
+	}
+	return p
+}
+
+// solveOptions validates the wire problem and maps its options onto the
+// public Ising API, without building the n×n problem, so /v1/solve can
+// answer a cache hit without one. Validation is exhaustive by design:
+// every numeric field is range- and finiteness-checked here so that no
+// request body can reach a solver panic (the sb parameter checks) or
+// poison the dynamics with a NaN/Inf — malformed input is the client's
+// error (400), never a 500.
+func (s *Server) solveOptions(req *SolveRequest) (isinglut.SBOptions, error) {
+	var opts isinglut.SBOptions
+	if req.N <= 1 {
+		return opts, fmt.Errorf("n must be at least 2, got %d", req.N)
+	}
+	if req.N > s.cfg.MaxSpins {
+		return opts, fmt.Errorf("n=%d exceeds the server limit of %d spins", req.N, s.cfg.MaxSpins)
+	}
+	if len(req.Biases) != 0 && len(req.Biases) != req.N {
+		return opts, fmt.Errorf("biases has %d entries for n=%d", len(req.Biases), req.N)
+	}
+	if req.TimeoutMS < 0 {
+		return opts, fmt.Errorf("timeout_ms must be non-negative, got %d", req.TimeoutMS)
+	}
+	if req.Steps < 0 {
+		return opts, fmt.Errorf("steps must be non-negative, got %d", req.Steps)
+	}
+	if req.Steps > s.cfg.MaxSteps {
+		return opts, fmt.Errorf("steps=%d exceeds the server limit of %d", req.Steps, s.cfg.MaxSteps)
+	}
+	if math.IsNaN(req.Dt) || math.IsInf(req.Dt, 0) || req.Dt < 0 {
+		return opts, fmt.Errorf("dt must be finite and non-negative, got %g", req.Dt)
+	}
+	if req.Replicas < 0 {
+		return opts, fmt.Errorf("replicas must be non-negative, got %d", req.Replicas)
+	}
+	if req.Replicas > s.cfg.MaxReplicas {
+		return opts, fmt.Errorf("replicas=%d exceeds the server limit of %d", req.Replicas, s.cfg.MaxReplicas)
+	}
+	if req.Workers < 0 {
+		return opts, fmt.Errorf("workers must be non-negative, got %d", req.Workers)
+	}
+	if req.DynamicStop {
+		if req.F < 0 || req.S < 0 {
+			return opts, fmt.Errorf("f and s must be non-negative, got f=%d s=%d", req.F, req.S)
+		}
+		if math.IsNaN(req.Epsilon) || math.IsInf(req.Epsilon, 0) || req.Epsilon < 0 {
+			return opts, fmt.Errorf("epsilon must be finite and non-negative, got %g", req.Epsilon)
+		}
+	}
+	for _, c := range req.Couplings {
+		if c.I < 0 || c.I >= req.N || c.J < 0 || c.J >= req.N || c.I == c.J {
+			return opts, fmt.Errorf("coupling (%d,%d) out of range for n=%d", c.I, c.J, req.N)
+		}
+		if math.IsNaN(c.V) || math.IsInf(c.V, 0) {
+			return opts, fmt.Errorf("coupling (%d,%d) value must be finite, got %g", c.I, c.J, c.V)
+		}
+	}
+	for i, b := range req.Biases {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return opts, fmt.Errorf("bias %d must be finite, got %g", i, b)
+		}
 	}
 	switch req.Variant {
 	case "", "bsb":
@@ -831,10 +854,10 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	case "dsb":
 		opts.Variant = isinglut.DiscreteSB
 	default:
-		return nil, opts, fmt.Errorf("unknown variant %q (want bsb, asb or dsb)", req.Variant)
+		return opts, fmt.Errorf("unknown variant %q (want bsb, asb or dsb)", req.Variant)
 	}
 	if req.Quant && opts.Variant != isinglut.DiscreteSB {
-		return nil, opts, fmt.Errorf("quant requires variant \"dsb\", got %q", req.Variant)
+		return opts, fmt.Errorf("quant requires variant \"dsb\", got %q", req.Variant)
 	}
 	opts.Steps = req.Steps
 	if req.Dt > 0 {
@@ -848,17 +871,17 @@ func (s *Server) buildSolve(req *SolveRequest) (*isinglut.IsingProblem, isinglut
 	opts.Rescue = req.Rescue
 	opts.Quantize = req.Quant
 	if req.Shard < 0 {
-		return nil, opts, fmt.Errorf("shard must be non-negative, got %d", req.Shard)
+		return opts, fmt.Errorf("shard must be non-negative, got %d", req.Shard)
 	}
 	if req.ShardRounds < 0 {
-		return nil, opts, fmt.Errorf("shard_rounds must be non-negative, got %d", req.ShardRounds)
+		return opts, fmt.Errorf("shard_rounds must be non-negative, got %d", req.ShardRounds)
 	}
 	if req.ShardRounds > 0 && req.Shard == 0 {
-		return nil, opts, fmt.Errorf("shard_rounds needs shard > 0")
+		return opts, fmt.Errorf("shard_rounds needs shard > 0")
 	}
 	opts.MaxShard = req.Shard
 	opts.ShardRounds = req.ShardRounds
-	return p, opts, nil
+	return opts, nil
 }
 
 // handleHealth is pure liveness: it answers 200 as long as the process
