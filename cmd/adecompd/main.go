@@ -14,8 +14,8 @@
 //	POST /v1/solve      raw Ising ground-state search (bSB/aSB/dSB)
 //	GET  /healthz       pure liveness + queue/cache/breaker occupancy
 //	GET  /readyz        readiness; 503 from the moment drain begins
-//	GET  /debug/vars    expvar, incl. isinglut.metrics and
-//	                    isinglut.services
+//	GET  /debug/vars    expvar, incl. isinglut.metrics (the solver,
+//	                    service and shard sets)
 //
 // Overload sheds with 429 + Retry-After once the queue is full. A
 // request's timeout_ms (clamped to -max-timeout) interrupts its solve at

@@ -44,7 +44,7 @@ func main() {
 		bench    = flag.String("bench", "erf", "benchmark for sweep/convergence experiments")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the sweep stops at the next row boundary and the completed rows are rendered (0 = no limit)")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar (incl. isinglut.metrics) on this address, e.g. localhost:6060")
-		showMet  = flag.Bool("metrics", false, "print the solver metrics snapshot to stderr on exit")
+		showMet  = flag.Bool("metrics", false, "print the metrics registry (solver, service and shard sets) to stderr on exit")
 	)
 	flag.Parse()
 
@@ -52,9 +52,7 @@ func main() {
 	defer cancel()
 	servePprof(*pprof)
 	if *showMet {
-		// Snapshot inside the closure: defer evaluates call arguments
-		// immediately, which would capture the pre-run (empty) registry.
-		defer func() { metrics.Render(os.Stderr, metrics.Snapshot()) }()
+		defer metrics.Render(os.Stderr)
 	}
 
 	n := 9

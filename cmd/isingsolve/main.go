@@ -75,7 +75,7 @@ func main() {
 		csv      = flag.String("tracecsv", "", "write the sampled energy trace as CSV to this file (SB only)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget; on expiry the solver returns its best-so-far state (0 = no limit)")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar (incl. isinglut.metrics) on this address, e.g. localhost:6060")
-		showMet  = flag.Bool("metrics", false, "print the solver metrics snapshot to stderr on exit")
+		showMet  = flag.Bool("metrics", false, "print the metrics registry (solver, service and shard sets) to stderr on exit")
 	)
 	flag.Parse()
 
@@ -83,12 +83,7 @@ func main() {
 	defer cancel()
 	servePprof(*pprof)
 	if *showMet {
-		// Snapshot inside the closure: defer evaluates call arguments
-		// immediately, which would capture the pre-run (empty) registry.
-		defer func() {
-			metrics.Render(os.Stderr, metrics.Snapshot())
-			metrics.RenderShard(os.Stderr, metrics.ShardSnapshot())
-		}()
+		defer metrics.Render(os.Stderr)
 	}
 
 	prob, err := loadProblem(*in, *demo, *demoN, *seed)
@@ -121,9 +116,6 @@ func main() {
 			Workers:  *workers,
 			Rescue:   *rescue,
 			Quantize: *quant,
-		}
-		if variant == isinglut.AdiabaticSB && *dt == 0 {
-			opts.Dt = 0.5 // aSB stability limit
 		}
 		if *stop {
 			opts.DynamicStop = true

@@ -24,7 +24,6 @@ import (
 	"isinglut/internal/lut"
 	"isinglut/internal/partition"
 	"isinglut/internal/sb"
-	"isinglut/internal/truthtable"
 )
 
 // Scale bundles every budget knob of a run.
@@ -251,9 +250,4 @@ func SampleCOP(name string, n, k, freeSize int, mode core.Mode, seed int64) (*co
 		return core.NewSeparateCOP(m), nil
 	}
 	return core.NewJointCOP(part, k, exact, exact.Clone(), nil), nil
-}
-
-// BuildBenchmark is a convenience re-export for commands.
-func BuildBenchmark(name string, n int) (*truthtable.Table, error) {
-	return benchfn.Build(name, n)
 }

@@ -94,9 +94,6 @@ func StartTopology(opts TopologyOptions) (*Topology, error) {
 	return top, nil
 }
 
-// NumPeers reports the fleet size.
-func (t *Topology) NumPeers() int { return len(t.peers) }
-
 // PeerURL returns peer i's base URL (stable across kill/restart).
 func (t *Topology) PeerURL(i int) string { return "http://" + t.peers[i].addr }
 

@@ -5,16 +5,17 @@
 //
 // The package is built for hot paths: a warm solver loop records a run
 // with a handful of atomic adds and zero heap allocations (the sb
-// allocation-regression test pins this transitively). Aggregates are
-// scraped programmatically with Snapshot, rendered with Render, and
-// published on the standard expvar surface as "isinglut.metrics" so any
-// binary that serves HTTP (e.g. via the -pprof flag of the CLIs) exposes
-// them on /debug/vars for free.
+// allocation-regression test pins this transitively). One registry holds
+// every instrument set — the solvers (ForSolver), the serving layer's
+// endpoints (ForService) and the shard-and-exchange layer (Shard) — and
+// reads them all at once: Read copies it, Render prints it, Reset zeroes
+// it, and it is published on the standard expvar surface as
+// "isinglut.metrics", so any binary that serves HTTP (e.g. via the -pprof
+// flag of the CLIs) exposes it on /debug/vars for free.
 package metrics
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -140,46 +141,38 @@ func (t *Timer) reset() {
 
 // Solver is one solver's instrumentation set. All fields are safe for
 // concurrent update; solvers hold the pointer returned by ForSolver in a
-// package variable so the hot path never touches the registry.
+// package variable so the hot path never touches the registry. Each
+// field's metric tag is its JSON name in the snapshot.
 type Solver struct {
-	// Name identifies the solver in snapshots ("sb", "sa", "ilp", ...).
-	Name string
-
 	// Runs counts completed solve calls; Iterations and Samples accumulate
 	// the per-run iteration and sample/evaluation counts; Restarts counts
 	// extra trajectories beyond the first (batch replicas, SA restarts).
-	Runs       Counter
-	Iterations Counter
-	Samples    Counter
-	Restarts   Counter
+	Runs       Counter `metric:"runs"`
+	Iterations Counter `metric:"iterations"`
+	Samples    Counter `metric:"samples"`
+	Restarts   Counter `metric:"restarts"`
 
 	// Stop-reason tallies: every completed run increments exactly one.
-	Converged Counter
-	MaxIters  Counter
-	Cancelled Counter
-	Deadline  Counter
+	Converged Counter `metric:"converged"`
+	MaxIters  Counter `metric:"max_iters"`
+	Cancelled Counter `metric:"cancelled"`
+	Deadline  Counter `metric:"deadline"`
 	// Diverged counts runs (or replica lanes) quarantined by the numerical
 	// divergence guard. Rescues counts diverged trajectories that were
 	// re-seeded once with a damped time step instead of being quarantined
 	// outright (incremented directly by the engines, not via ObserveRun —
 	// a rescued run still completes with its own stop reason).
-	Diverged Counter
-	Rescues  Counter
+	Diverged Counter `metric:"diverged"`
+	Rescues  Counter `metric:"rescues"`
 
 	// SolveTime accumulates per-run wall clock; Latency buckets the same
 	// observations (microsecond power-of-two bounds) for tail inspection.
-	SolveTime Timer
-	Latency   *Histogram
+	SolveTime Timer      `metric:"solve_time_ns,mean_run_ns"`
+	Latency   *Histogram `metric:"latency_us"`
 
 	// Energy buckets |best energy| magnitudes (power-of-two bounds) so a
 	// scrape shows the scale of the problems a deployment actually solves.
-	Energy *Histogram
-
-	// WorkerBusy accumulates per-worker busy time and WorkerCapacity the
-	// wall-clock capacity (batch duration x workers) of parallel stages;
-	// their ratio is the worker utilization in Snapshot.
-	WorkerBusy     Timer
-	WorkerCapacity Timer
+	Energy *Histogram `metric:"energy_abs"`
 }
 
 // ObserveRun records one completed run: latency, stop reason, run count.
@@ -209,62 +202,16 @@ func (s *Solver) ObserveEnergy(e float64) {
 	s.Energy.Observe(e)
 }
 
-func newSolver(name string) *Solver {
-	return &Solver{
-		Name: name,
-		// 1 µs .. ~8.4 s in power-of-two buckets, with under/overflow ends.
-		Latency: NewHistogram(PowerOfTwoBounds(1, 24)),
-		// |E| from 2^-10 up to 2^20, covering the repo's problem scales.
-		Energy: NewHistogram(PowerOfTwoBounds(1.0/1024, 31)),
-	}
-}
-
-func (s *Solver) reset() {
-	s.Runs.reset()
-	s.Iterations.reset()
-	s.Samples.reset()
-	s.Restarts.reset()
-	s.Converged.reset()
-	s.MaxIters.reset()
-	s.Cancelled.reset()
-	s.Deadline.reset()
-	s.Diverged.reset()
-	s.Rescues.reset()
-	s.SolveTime.reset()
-	s.WorkerBusy.reset()
-	s.WorkerCapacity.reset()
-	s.Latency.reset()
-	s.Energy.reset()
-}
-
-var (
-	mu      sync.Mutex
-	solvers = map[string]*Solver{}
-	order   []string
-)
-
 // ForSolver returns the named solver's instrumentation set, creating it on
 // first use. Call once at package init and keep the pointer; the lookup
 // takes a lock.
 func ForSolver(name string) *Solver {
-	mu.Lock()
-	defer mu.Unlock()
-	if s, ok := solvers[name]; ok {
-		return s
-	}
-	s := newSolver(name)
-	solvers[name] = s
-	order = append(order, name)
-	return s
-}
-
-// Reset zeroes every registered metric. Intended for tests and for
-// long-running processes that scrape-and-reset.
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, s := range solvers {
-		s.reset()
-	}
-	shardSingleton.reset()
+	return register(kindSolver, name, func() *Solver {
+		return &Solver{
+			// 1 µs .. ~8.4 s in power-of-two buckets, with under/overflow ends.
+			Latency: NewHistogram(PowerOfTwoBounds(1, 24)),
+			// |E| from 2^-10 up to 2^20, covering the repo's problem scales.
+			Energy: NewHistogram(PowerOfTwoBounds(1.0/1024, 31)),
+		}
+	})
 }

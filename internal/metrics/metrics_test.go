@@ -111,59 +111,76 @@ func TestPowerOfTwoBounds(t *testing.T) {
 	}
 }
 
+// find returns the named set from a snapshot section.
+func find(t *testing.T, sets []SetSnapshot, name string) SetSnapshot {
+	t.Helper()
+	for _, s := range sets {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("snapshot missing set %q", name)
+	return SetSnapshot{}
+}
+
+// value returns the named counter or timer reading of a set snapshot, or
+// the observation count of the named histogram.
+func value(t *testing.T, s SetSnapshot, name string) int64 {
+	t.Helper()
+	for _, v := range s.Values {
+		if v.Name == name {
+			if v.Hist != nil {
+				return v.Hist.Total()
+			}
+			return v.N
+		}
+	}
+	t.Fatalf("set %q has no value %q", s.Name, name)
+	return 0
+}
+
 func TestSolverSnapshotAndJSON(t *testing.T) {
 	s := ForSolver("test-solver")
 	if again := ForSolver("test-solver"); again != s {
 		t.Fatal("ForSolver must return the same instance per name")
 	}
-	s.reset()
+	Reset()
 	s.ObserveRun(3*time.Millisecond, StopConverged)
 	s.ObserveRun(5*time.Millisecond, StopCancelled)
 	s.ObserveEnergy(-12.5)
 	s.Iterations.Add(400)
 	s.Samples.Add(20)
-	s.WorkerBusy.Observe(30 * time.Millisecond)
-	s.WorkerCapacity.Observe(40 * time.Millisecond)
 
-	var snap SolverSnapshot
-	found := false
-	for _, sn := range Snapshot() {
-		if sn.Name == "test-solver" {
-			snap, found = sn, true
+	snap := find(t, Read().Solvers, "test-solver")
+	want := map[string]int64{
+		"runs": 2, "converged": 1, "cancelled": 1, "max_iters": 0,
+		"iterations": 400, "samples": 20,
+		"solve_time_ns": int64(8 * time.Millisecond), "mean_run_ns": int64(4 * time.Millisecond),
+		"latency_us": 2, "energy_abs": 1,
+	}
+	for name, w := range want {
+		if got := value(t, snap, name); got != w {
+			t.Errorf("%s = %d, want %d", name, got, w)
 		}
-	}
-	if !found {
-		t.Fatal("snapshot missing test-solver")
-	}
-	if snap.Runs != 2 || snap.Converged != 1 || snap.Cancelled != 1 {
-		t.Errorf("run tallies wrong: %+v", snap)
-	}
-	if snap.Iterations != 400 || snap.Samples != 20 {
-		t.Errorf("iteration tallies wrong: %+v", snap)
-	}
-	if snap.SolveTimeNS != int64(8*time.Millisecond) {
-		t.Errorf("solve time = %d", snap.SolveTimeNS)
-	}
-	if snap.Utilization < 0.74 || snap.Utilization > 0.76 {
-		t.Errorf("utilization = %g, want 0.75", snap.Utilization)
-	}
-	if snap.Latency.Total() != 2 || snap.Energy.Total() != 1 {
-		t.Errorf("histogram totals: latency %d energy %d", snap.Latency.Total(), snap.Energy.Total())
 	}
 
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	for _, key := range []string{`"name":"test-solver"`, `"runs":2`, `"latency_us"`} {
+	var decoded map[string]any
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatalf("snapshot JSON does not parse: %v\n%s", err, data)
+	}
+	for _, key := range []string{`{"name":"test-solver","runs":2,`, `"mean_run_ns":4000000`, `"latency_us":{"bounds":[`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("JSON missing %s: %s", key, data)
 		}
 	}
 
 	var sb strings.Builder
-	Render(&sb, []SolverSnapshot{snap})
-	if !strings.Contains(sb.String(), "test-solver") {
+	Render(&sb)
+	if !strings.Contains(sb.String(), "test-solver ") || !strings.Contains(sb.String(), " runs=2 ") {
 		t.Errorf("render missing solver row:\n%s", sb.String())
 	}
 }
@@ -180,12 +197,71 @@ func TestObserveAllocsFree(t *testing.T) {
 	}
 }
 
+// TestReset: Reset zeroes every set of the one registry — solvers,
+// services and the shard layer, counters, timers and histograms alike.
 func TestReset(t *testing.T) {
 	s := ForSolver("reset-probe")
 	s.ObserveRun(time.Millisecond, StopConverged)
 	s.Iterations.Add(5)
+	svc := ForService("reset-svc")
+	svc.Requests.Inc()
+	svc.ObserveHandled(time.Millisecond, 200)
+	Shard().Rounds.Inc()
+	Shard().RoundTime.Observe(time.Millisecond)
 	Reset()
-	if s.Runs.Load() != 0 || s.Iterations.Load() != 0 || s.Latency.Count() != 0 {
-		t.Error("Reset left residual counts")
+	if s.Runs.Load() != 0 || s.Iterations.Load() != 0 || s.SolveTime.Count() != 0 || s.Latency.Count() != 0 {
+		t.Error("Reset left residual solver counts")
+	}
+	if svc.Requests.Load() != 0 || svc.OK.Load() != 0 || svc.Handle.Count() != 0 || svc.Latency.Count() != 0 {
+		t.Error("Reset left residual service counts")
+	}
+	if Shard().Rounds.Load() != 0 || Shard().RoundTime.Count() != 0 {
+		t.Error("Reset left residual shard counts")
+	}
+	snap := Read()
+	for _, sets := range [][]SetSnapshot{snap.Solvers, snap.Services, {snap.Shard}} {
+		for _, set := range sets {
+			for _, v := range set.Values {
+				if v.N != 0 || (v.Hist != nil && v.Hist.Total() != 0) {
+					t.Errorf("after Reset, %s %s = %d", set.Name, v.Name, v.N)
+				}
+			}
+		}
+	}
+}
+
+// TestSnapshotJSONNames pins every set kind's JSON names and their order,
+// which scrapers and CI's expvar greps read.
+func TestSnapshotJSONNames(t *testing.T) {
+	ForSolver("names-solver")
+	ForService("names-service")
+	snap := Read()
+	want := []struct {
+		set   SetSnapshot
+		names string
+	}{
+		{find(t, snap.Solvers, "names-solver"), "runs iterations samples restarts converged max_iters cancelled deadline diverged rescues solve_time_ns mean_run_ns latency_us energy_abs"},
+		{find(t, snap.Services, "names-service"), "requests ok client_error server_error shed drained cache_hits cache_misses degraded retries panics breaker_open queue_wait_ns handle_ns mean_handle_ns latency_us"},
+		{snap.Shard, "rounds sub_solves sub_errors accepted rejected peer_dispatch peer_fallback peer_batches peer_retries peer_hedges peer_hedges_won peer_hedges_lost peer_probes peer_probe_fails peer_quarantined peer_readmitted round_time_ns mean_round_ns"},
+	}
+	for _, w := range want {
+		var names []string
+		for _, v := range w.set.Values {
+			names = append(names, v.Name)
+		}
+		if got := strings.Join(names, " "); got != w.names {
+			t.Errorf("set %q names:\n got %s\nwant %s", w.set.Name, got, w.names)
+		}
+	}
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections map[string]json.RawMessage
+	if err := json.Unmarshal(data, &sections); err != nil {
+		t.Fatalf("registry JSON does not parse: %v", err)
+	}
+	if len(sections) != 3 || sections["solvers"] == nil || sections["services"] == nil || !strings.HasPrefix(string(sections["shard"]), `{"name":"exchange","rounds":`) {
+		t.Fatalf("registry JSON sections: %s", data)
 	}
 }

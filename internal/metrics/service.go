@@ -1,57 +1,48 @@
 package metrics
 
-import (
-	"expvar"
-	"fmt"
-	"io"
-	"sync"
-	"time"
-)
+import "time"
 
 // Service is one network-facing component's instrumentation set — the
 // serving-layer counterpart of Solver. The decomposition daemon
 // (cmd/adecompd) updates one per endpoint family; like the solver set,
 // every field is a handful of atomic operations, safe for concurrent use
-// on the request path.
+// on the request path, and each field's metric tag is its JSON name.
 type Service struct {
-	// Name identifies the service in snapshots ("serve.decompose", ...).
-	Name string
-
 	// Requests counts requests admitted to the worker pool; OK/ClientError/
 	// ServerError split the terminal statuses of handled requests.
-	Requests    Counter
-	OK          Counter
-	ClientError Counter
-	ServerError Counter
+	Requests    Counter `metric:"requests"`
+	OK          Counter `metric:"ok"`
+	ClientError Counter `metric:"client_error"`
+	ServerError Counter `metric:"server_error"`
 
 	// Shed counts admission-control rejections (429: the bounded queue was
 	// full); Drained counts requests refused because the server was
 	// draining (503 after SIGTERM).
-	Shed    Counter
-	Drained Counter
+	Shed    Counter `metric:"shed"`
+	Drained Counter `metric:"drained"`
 
 	// CacheHits/CacheMisses tally result-cache lookups; a hit skips the
 	// solver stack entirely.
-	CacheHits   Counter
-	CacheMisses Counter
+	CacheHits   Counter `metric:"cache_hits"`
+	CacheMisses Counter `metric:"cache_misses"`
 
 	// Degraded counts responses served from the heuristic fallback after
 	// the Ising path failed; Retries counts solver re-attempts made by the
 	// retry helper; Panics counts solver panics converted into structured
 	// errors by the job recover boundary; BreakerOpen counts requests
 	// short-circuited by an open circuit breaker.
-	Degraded    Counter
-	Retries     Counter
-	Panics      Counter
-	BreakerOpen Counter
+	Degraded    Counter `metric:"degraded"`
+	Retries     Counter `metric:"retries"`
+	Panics      Counter `metric:"panics"`
+	BreakerOpen Counter `metric:"breaker_open"`
 
 	// QueueWait accumulates the time admitted requests spent queued before
 	// a worker picked them up; Handle accumulates end-to-end handling time
 	// (queue wait + solve + encode). Latency buckets Handle's observations
 	// in microseconds for tail inspection.
-	QueueWait Timer
-	Handle    Timer
-	Latency   *Histogram
+	QueueWait Timer      `metric:"queue_wait_ns"`
+	Handle    Timer      `metric:"handle_ns,mean_handle_ns"`
+	Latency   *Histogram `metric:"latency_us"`
 }
 
 // ObserveHandled records one handled request: end-to-end latency plus the
@@ -69,143 +60,11 @@ func (s *Service) ObserveHandled(d time.Duration, status int) {
 	}
 }
 
-func newService(name string) *Service {
-	return &Service{
-		Name: name,
-		// 1 µs .. ~8.4 s in power-of-two buckets, like the solver latency.
-		Latency: NewHistogram(PowerOfTwoBounds(1, 24)),
-	}
-}
-
-func (s *Service) reset() {
-	s.Requests.reset()
-	s.OK.reset()
-	s.ClientError.reset()
-	s.ServerError.reset()
-	s.Shed.reset()
-	s.Drained.reset()
-	s.CacheHits.reset()
-	s.CacheMisses.reset()
-	s.Degraded.reset()
-	s.Retries.reset()
-	s.Panics.reset()
-	s.BreakerOpen.reset()
-	s.QueueWait.reset()
-	s.Handle.reset()
-	s.Latency.reset()
-}
-
-var (
-	svcMu    sync.Mutex
-	services = map[string]*Service{}
-	svcOrder []string
-)
-
 // ForService returns the named service's instrumentation set, creating it
 // on first use. Like ForSolver, call once and keep the pointer.
 func ForService(name string) *Service {
-	svcMu.Lock()
-	defer svcMu.Unlock()
-	if s, ok := services[name]; ok {
-		return s
-	}
-	s := newService(name)
-	services[name] = s
-	svcOrder = append(svcOrder, name)
-	return s
-}
-
-// ServiceSnapshot is a point-in-time copy of one service's aggregates.
-type ServiceSnapshot struct {
-	Name        string `json:"name"`
-	Requests    int64  `json:"requests"`
-	OK          int64  `json:"ok"`
-	ClientError int64  `json:"client_error"`
-	ServerError int64  `json:"server_error"`
-	Shed        int64  `json:"shed"`
-	Drained     int64  `json:"drained"`
-	CacheHits   int64  `json:"cache_hits"`
-	CacheMisses int64  `json:"cache_misses"`
-	Degraded    int64  `json:"degraded"`
-	Retries     int64  `json:"retries"`
-	Panics      int64  `json:"panics"`
-	BreakerOpen int64  `json:"breaker_open"`
-
-	// CacheHitRate is hits / (hits + misses); 0 with no lookups.
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-
-	QueueWaitNS int64 `json:"queue_wait_ns"`
-	HandleNS    int64 `json:"handle_ns"`
-	MeanNS      int64 `json:"mean_handle_ns"`
-
-	Latency HistogramSnapshot `json:"latency_us"`
-}
-
-func (s *Service) snapshot() ServiceSnapshot {
-	snap := ServiceSnapshot{
-		Name:        s.Name,
-		Requests:    s.Requests.Load(),
-		OK:          s.OK.Load(),
-		ClientError: s.ClientError.Load(),
-		ServerError: s.ServerError.Load(),
-		Shed:        s.Shed.Load(),
-		Drained:     s.Drained.Load(),
-		CacheHits:   s.CacheHits.Load(),
-		CacheMisses: s.CacheMisses.Load(),
-		Degraded:    s.Degraded.Load(),
-		Retries:     s.Retries.Load(),
-		Panics:      s.Panics.Load(),
-		BreakerOpen: s.BreakerOpen.Load(),
-		QueueWaitNS: int64(s.QueueWait.Total()),
-		HandleNS:    int64(s.Handle.Total()),
-		MeanNS:      int64(s.Handle.Mean()),
-		Latency:     s.Latency.Snapshot(),
-	}
-	if lookups := snap.CacheHits + snap.CacheMisses; lookups > 0 {
-		snap.CacheHitRate = float64(snap.CacheHits) / float64(lookups)
-	}
-	return snap
-}
-
-// ServiceSnapshots returns every registered service's aggregates in
-// registration order, as a deep copy.
-func ServiceSnapshots() []ServiceSnapshot {
-	svcMu.Lock()
-	defer svcMu.Unlock()
-	out := make([]ServiceSnapshot, 0, len(svcOrder))
-	for _, name := range svcOrder {
-		out = append(out, services[name].snapshot())
-	}
-	return out
-}
-
-// RenderServices writes a compact human-readable summary of a service
-// snapshot set, mirroring Render for solvers.
-func RenderServices(w io.Writer, snaps []ServiceSnapshot) {
-	fmt.Fprintf(w, "%-16s %8s %8s %6s %6s %6s %8s %8s %8s %12s\n",
-		"service", "requests", "ok", "4xx", "5xx", "shed", "drained", "hits", "misses", "mean")
-	for _, s := range snaps {
-		if s.Requests == 0 && s.Shed == 0 && s.Drained == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-16s %8d %8d %6d %6d %6d %8d %8d %8d %12s\n",
-			s.Name, s.Requests, s.OK, s.ClientError, s.ServerError, s.Shed,
-			s.Drained, s.CacheHits, s.CacheMisses,
-			time.Duration(s.MeanNS).Round(time.Microsecond))
-	}
-}
-
-// ResetServices zeroes every registered service metric (testing support).
-func ResetServices() {
-	svcMu.Lock()
-	defer svcMu.Unlock()
-	for _, s := range services {
-		s.reset()
-	}
-}
-
-// The service snapshot is published alongside the solver one, so the
-// daemon's /debug/vars exposes both with zero wiring.
-func init() {
-	expvar.Publish("isinglut.services", expvar.Func(func() any { return ServiceSnapshots() }))
+	return register(kindService, name, func() *Service {
+		// 1 µs .. ~8.4 s in power-of-two buckets, like the solver latency.
+		return &Service{Latency: NewHistogram(PowerOfTwoBounds(1, 24))}
+	})
 }

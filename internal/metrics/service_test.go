@@ -11,11 +11,18 @@ func TestForServiceReturnsSameInstance(t *testing.T) {
 	if again := ForService("svc-probe"); again != s {
 		t.Fatal("ForService must return the same instance per name")
 	}
+	// A solver of the same name is a different set in another section.
+	ForSolver("svc-probe").Runs.Inc()
+	t.Cleanup(Reset)
+	snap := Read()
+	if value(t, find(t, snap.Solvers, "svc-probe"), "runs") != 1 || value(t, find(t, snap.Services, "svc-probe"), "requests") != 0 {
+		t.Fatal("same-named solver and service share instruments")
+	}
 }
 
 func TestObserveHandledClassifiesStatuses(t *testing.T) {
 	s := ForService("svc-status")
-	t.Cleanup(func() { s.reset() })
+	t.Cleanup(Reset)
 	s.ObserveHandled(time.Millisecond, 200)
 	s.ObserveHandled(time.Millisecond, 304)
 	s.ObserveHandled(time.Millisecond, 400)
@@ -35,31 +42,29 @@ func TestObserveHandledClassifiesStatuses(t *testing.T) {
 	}
 }
 
+// TestServiceSnapshotCacheHitRate: the hit rate's inputs reach the
+// snapshot under their JSON names, so a scrape computes
+// cache_hits / (cache_hits + cache_misses).
 func TestServiceSnapshotCacheHitRate(t *testing.T) {
 	s := ForService("svc-cache")
-	t.Cleanup(func() { s.reset() })
+	t.Cleanup(Reset)
 	s.CacheHits.Add(3)
 	s.CacheMisses.Add(1)
-	snap := s.snapshot()
-	if snap.CacheHitRate != 0.75 {
-		t.Fatalf("CacheHitRate = %g, want 0.75", snap.CacheHitRate)
-	}
-	empty := ForService("svc-cache-empty")
-	if r := empty.snapshot().CacheHitRate; r != 0 {
-		t.Fatalf("zero-lookup hit rate = %g, want 0", r)
+	snap := find(t, Read().Services, "svc-cache")
+	if hits, misses := value(t, snap, "cache_hits"), value(t, snap, "cache_misses"); hits != 3 || misses != 1 {
+		t.Fatalf("cache_hits = %d, cache_misses = %d, want 3 and 1", hits, misses)
 	}
 }
 
-func TestServiceSnapshotsOrderAndReset(t *testing.T) {
+func TestServiceOrderAndReset(t *testing.T) {
 	a := ForService("svc-order-a")
 	b := ForService("svc-order-b")
 	a.Requests.Inc()
 	b.Requests.Add(2)
 	b.Shed.Inc()
 
-	snaps := ServiceSnapshots()
 	ia, ib := -1, -1
-	for i, s := range snaps {
+	for i, s := range Read().Services {
 		switch s.Name {
 		case "svc-order-a":
 			ia = i
@@ -71,28 +76,41 @@ func TestServiceSnapshotsOrderAndReset(t *testing.T) {
 		t.Fatalf("registration order lost: a at %d, b at %d", ia, ib)
 	}
 
-	ResetServices()
-	for _, s := range ServiceSnapshots() {
-		if s.Name == "svc-order-b" && (s.Requests != 0 || s.Shed != 0) {
-			t.Fatalf("ResetServices left counts: %+v", s)
-		}
+	Reset()
+	s := find(t, Read().Services, "svc-order-b")
+	if value(t, s, "requests") != 0 || value(t, s, "shed") != 0 {
+		t.Fatalf("Reset left counts: %+v", s)
 	}
 }
 
-func TestRenderServicesSkipsIdle(t *testing.T) {
+// TestRenderSkipsIdle: Render prints one line per set that
+// counted anything, services, solvers and the shard layer alike, and
+// skips the idle ones.
+func TestRenderSkipsIdle(t *testing.T) {
+	Reset()
 	busy := ForService("svc-render-busy")
 	ForService("svc-render-idle")
-	t.Cleanup(ResetServices)
+	ForSolver("solver-render-idle")
+	t.Cleanup(Reset)
 	busy.Requests.Inc()
 	busy.ObserveHandled(time.Millisecond, 200)
 
 	var sb strings.Builder
-	RenderServices(&sb, ServiceSnapshots())
+	Render(&sb)
 	out := sb.String()
-	if !strings.Contains(out, "svc-render-busy") {
+	if !strings.Contains(out, "service svc-render-busy") || !strings.Contains(out, " requests=1 ok=1 handle=1ms mean_handle=1ms") {
 		t.Fatalf("render missing active service:\n%s", out)
 	}
-	if strings.Contains(out, "svc-render-idle") {
-		t.Fatalf("render shows idle service:\n%s", out)
+	for _, idle := range []string{"svc-render-idle", "solver-render-idle", "shard "} {
+		if strings.Contains(out, idle) {
+			t.Fatalf("render shows idle set %q:\n%s", idle, out)
+		}
+	}
+
+	Shard().PeerDispatch.Add(2)
+	sb.Reset()
+	Render(&sb)
+	if !strings.Contains(sb.String(), "shard   exchange          peer_dispatch=2\n") {
+		t.Fatalf("render missing active shard set:\n%s", sb.String())
 	}
 }

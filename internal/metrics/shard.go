@@ -1,175 +1,66 @@
 package metrics
 
-import (
-	"expvar"
-	"fmt"
-	"io"
-	"time"
-)
-
 // Sharding is the shard-and-exchange solver's instrumentation set: one
-// process-wide singleton (Shard) that internal/shard and the serve-layer
+// process-wide set (Shard) that internal/shard and the serve-layer
 // coordinator update in flight. Like Solver, every field is a handful of
 // atomic operations — a shard round records itself with a few adds, so
-// the exchange loop stays allocation-free.
+// the exchange loop stays allocation-free — and each field's metric tag
+// is its JSON name. Top-level shard solves are counted, timed and tallied
+// by stop reason in the "shard" solver set.
 type Sharding struct {
-	// Runs counts completed top-level shard solves; Rounds the exchange
-	// rounds they executed.
-	Runs   Counter
-	Rounds Counter
+	// Rounds counts the exchange rounds of every shard solve.
+	Rounds Counter `metric:"rounds"`
 
 	// SubSolves counts dispatched shard subproblem solves (local or
 	// peer); SubErrors the sub-solves that failed (their shard kept its
 	// current spins for that round).
-	SubSolves Counter
-	SubErrors Counter
+	SubSolves Counter `metric:"sub_solves"`
+	SubErrors Counter `metric:"sub_errors"`
 
 	// Accepted counts shard proposals that lowered the global energy and
 	// were exchanged into the global state; Rejected the proposals the
 	// energy guard discarded.
-	Accepted Counter
-	Rejected Counter
+	Accepted Counter `metric:"accepted"`
+	Rejected Counter `metric:"rejected"`
 
 	// PeerDispatch counts sub-solves sent to a peer daemon over
-	// /v1/solve; PeerFallback the peer failures (network error, non-200,
-	// open breaker, armed failpoint) that were served by the local
-	// solver instead.
-	PeerDispatch Counter
-	PeerFallback Counter
+	// /v1/solve; PeerFallback the sub-solves the fleet did not serve (no
+	// eligible peer, retry budget spent, network error, non-200, per-item
+	// error, armed failpoint) that the local solver ran instead.
+	PeerDispatch Counter `metric:"peer_dispatch"`
+	PeerFallback Counter `metric:"peer_fallback"`
 
 	// PeerBatches counts /v1/solve/batch round trips to peers (each
 	// carries one or more sub-solves); PeerRetries the re-dispatches of
 	// a failed peer group under the per-round retry budget.
-	PeerBatches Counter
-	PeerRetries Counter
+	PeerBatches Counter `metric:"peer_batches"`
+	PeerRetries Counter `metric:"peer_retries"`
 
 	// PeerHedges counts hedged duplicate dispatches launched when a
 	// shard exceeded the fleet's hedge latency threshold; PeerHedgesWon
 	// the hedges whose duplicate finished first (the re-steal path),
 	// PeerHedgesLost the ones where the primary still won.
-	PeerHedges     Counter
-	PeerHedgesWon  Counter
-	PeerHedgesLost Counter
+	PeerHedges     Counter `metric:"peer_hedges"`
+	PeerHedgesWon  Counter `metric:"peer_hedges_won"`
+	PeerHedgesLost Counter `metric:"peer_hedges_lost"`
 
 	// PeerProbes counts background /readyz health probes; PeerProbeFails
 	// the probes that failed.
-	PeerProbes     Counter
-	PeerProbeFails Counter
+	PeerProbes     Counter `metric:"peer_probes"`
+	PeerProbeFails Counter `metric:"peer_probe_fails"`
 
 	// PeerQuarantined counts healthy/suspect → quarantined transitions;
 	// PeerReadmitted the quarantined → healthy readmissions (probe or
 	// dispatch success after quarantine).
-	PeerQuarantined Counter
-	PeerReadmitted  Counter
+	PeerQuarantined Counter `metric:"peer_quarantined"`
+	PeerReadmitted  Counter `metric:"peer_readmitted"`
 
 	// RoundTime accumulates per-round wall clock across all shard solves.
-	RoundTime Timer
+	RoundTime Timer `metric:"round_time_ns,mean_round_ns"`
 }
 
-var shardSingleton = &Sharding{}
+var shardSet = register(kindShard, "exchange", func() *Sharding { return &Sharding{} })
 
 // Shard returns the process-wide sharding instrumentation set. Call once
 // and keep the pointer, like ForSolver.
-func Shard() *Sharding { return shardSingleton }
-
-func (s *Sharding) reset() {
-	s.Runs.reset()
-	s.Rounds.reset()
-	s.SubSolves.reset()
-	s.SubErrors.reset()
-	s.Accepted.reset()
-	s.Rejected.reset()
-	s.PeerDispatch.reset()
-	s.PeerFallback.reset()
-	s.PeerBatches.reset()
-	s.PeerRetries.reset()
-	s.PeerHedges.reset()
-	s.PeerHedgesWon.reset()
-	s.PeerHedgesLost.reset()
-	s.PeerProbes.reset()
-	s.PeerProbeFails.reset()
-	s.PeerQuarantined.reset()
-	s.PeerReadmitted.reset()
-	s.RoundTime.reset()
-}
-
-// ShardingSnapshot is a point-in-time copy of the sharding aggregates,
-// shaped for programmatic scraping like SolverSnapshot.
-type ShardingSnapshot struct {
-	Runs         int64 `json:"runs"`
-	Rounds       int64 `json:"rounds"`
-	SubSolves    int64 `json:"sub_solves"`
-	SubErrors    int64 `json:"sub_errors"`
-	Accepted     int64 `json:"accepted"`
-	Rejected     int64 `json:"rejected"`
-	PeerDispatch int64 `json:"peer_dispatch"`
-	PeerFallback int64 `json:"peer_fallback"`
-
-	PeerBatches     int64 `json:"peer_batches"`
-	PeerRetries     int64 `json:"peer_retries"`
-	PeerHedges      int64 `json:"peer_hedges"`
-	PeerHedgesWon   int64 `json:"peer_hedges_won"`
-	PeerHedgesLost  int64 `json:"peer_hedges_lost"`
-	PeerProbes      int64 `json:"peer_probes"`
-	PeerProbeFails  int64 `json:"peer_probe_fails"`
-	PeerQuarantined int64 `json:"peer_quarantined"`
-	PeerReadmitted  int64 `json:"peer_readmitted"`
-
-	RoundTimeNS int64 `json:"round_time_ns"`
-	MeanRoundNS int64 `json:"mean_round_ns"`
-}
-
-// ShardSnapshot copies the sharding aggregates.
-func ShardSnapshot() ShardingSnapshot {
-	s := shardSingleton
-	return ShardingSnapshot{
-		Runs:         s.Runs.Load(),
-		Rounds:       s.Rounds.Load(),
-		SubSolves:    s.SubSolves.Load(),
-		SubErrors:    s.SubErrors.Load(),
-		Accepted:     s.Accepted.Load(),
-		Rejected:     s.Rejected.Load(),
-		PeerDispatch: s.PeerDispatch.Load(),
-		PeerFallback: s.PeerFallback.Load(),
-
-		PeerBatches:     s.PeerBatches.Load(),
-		PeerRetries:     s.PeerRetries.Load(),
-		PeerHedges:      s.PeerHedges.Load(),
-		PeerHedgesWon:   s.PeerHedgesWon.Load(),
-		PeerHedgesLost:  s.PeerHedgesLost.Load(),
-		PeerProbes:      s.PeerProbes.Load(),
-		PeerProbeFails:  s.PeerProbeFails.Load(),
-		PeerQuarantined: s.PeerQuarantined.Load(),
-		PeerReadmitted:  s.PeerReadmitted.Load(),
-
-		RoundTimeNS: int64(s.RoundTime.Total()),
-		MeanRoundNS: int64(s.RoundTime.Mean()),
-	}
-}
-
-// RenderShard writes a one-line human-readable summary of the sharding
-// aggregates (skipped entirely when no shard solve ever ran).
-func RenderShard(w io.Writer, snap ShardingSnapshot) {
-	if snap.Runs == 0 {
-		return
-	}
-	fmt.Fprintf(w, "shard: runs %d rounds %d sub-solves %d (errors %d) exchanges %d accepted / %d rejected peer %d dispatched / %d fallback round-time %s\n",
-		snap.Runs, snap.Rounds, snap.SubSolves, snap.SubErrors,
-		snap.Accepted, snap.Rejected, snap.PeerDispatch, snap.PeerFallback,
-		time.Duration(snap.RoundTimeNS).Round(time.Microsecond))
-	if snap.PeerBatches+snap.PeerRetries+snap.PeerHedges+snap.PeerProbes+
-		snap.PeerQuarantined+snap.PeerReadmitted == 0 {
-		return
-	}
-	fmt.Fprintf(w, "fleet: batches %d retries %d hedges %d (%d won / %d lost) probes %d (%d failed) quarantined %d readmitted %d\n",
-		snap.PeerBatches, snap.PeerRetries, snap.PeerHedges,
-		snap.PeerHedgesWon, snap.PeerHedgesLost,
-		snap.PeerProbes, snap.PeerProbeFails,
-		snap.PeerQuarantined, snap.PeerReadmitted)
-}
-
-// The sharding aggregates are published as the expvar "isinglut.shard",
-// next to "isinglut.metrics" and "isinglut.services".
-func init() {
-	expvar.Publish("isinglut.shard", expvar.Func(func() any { return ShardSnapshot() }))
-}
+func Shard() *Sharding { return shardSet }

@@ -8,10 +8,8 @@ import (
 	"isinglut/internal/metrics"
 )
 
-// batchMet instruments the replica-batch layer: batch runs, replica
-// restarts, and engine busy time vs capacity (their ratio is the
-// utilization reported by metrics.Snapshot; one lock-step engine keeps
-// it at 1).
+// batchMet instruments the replica-batch layer: batch runs and replica
+// restarts.
 var batchMet = metrics.ForSolver("sb.batch")
 
 // BatchParams configures a multi-replica SB run. SB hardware and GPU
@@ -138,10 +136,7 @@ func solveBatch(ctx context.Context, p *ising.Problem, bp BatchParams, ws *Works
 		stats.BatchStopped = reason
 	}
 
-	wall := time.Since(start)
-	batchMet.ObserveRun(wall, stats.BatchStopped)
-	batchMet.WorkerBusy.Observe(wall)
-	batchMet.WorkerCapacity.Observe(wall)
+	batchMet.ObserveRun(time.Since(start), stats.BatchStopped)
 	if launched > 1 {
 		batchMet.Restarts.Add(int64(launched - 1))
 	}

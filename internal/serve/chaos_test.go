@@ -80,7 +80,32 @@ func TestChaosEverySiteFires(t *testing.T) {
 	if res.StopReason != "diverged" {
 		t.Fatalf("sb.diverge stop reason %q, want diverged", res.StopReason)
 	}
+
+	// sb.diverge on both replicas of a batch (seeds 7 and 8): the batch
+	// reports diverged like a single run, so /v1/solve answers 500 — the
+	// +Inf energy has no JSON form — and caches nothing.
+	fault.MustArm("sb.diverge", fault.Scenario{Keys: []int64{7, 8}, Times: -1})
+	res, err = isinglut.SolveIsing(prob, isinglut.SBOptions{Steps: 100, Seed: 7, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StopReason != "diverged" || res.DivergedReplicas != 2 {
+		t.Fatalf("all-diverged batch: stop reason %q, %d diverged replicas; want diverged, 2", res.StopReason, res.DivergedReplicas)
+	}
+	batchReq := SolveRequest{N: 8, Steps: 100, Seed: 7, Replicas: 2, Couplings: ringCouplings(8)}
+	resp := postJSON(t, ts.URL+"/v1/solve", batchReq)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("all-diverged batch over HTTP: status %d, want 500", resp.StatusCode)
+	}
 	fault.DisarmAll()
+	resp = postJSON(t, ts.URL+"/v1/solve", batchReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("disarmed batch: status %d, want 200", resp.StatusCode)
+	}
+	if got := decodeBody[SolveResponse](t, resp); got.Cached || got.StopReason == "diverged" {
+		t.Fatalf("disarmed batch answered from a cached failure: %+v", got)
+	}
 
 	// ising.quant.accum: a poisoned integer accumulate in the quantized
 	// dSB kernel must flow into the same divergence quarantine as a
@@ -184,7 +209,7 @@ func TestChaosEverySiteFires(t *testing.T) {
 	// ising.field again: one poisoned batch field evaluation diverges one
 	// replica; the served solve still answers 200 off a finite survivor.
 	fault.MustArm("ising.field", fault.Scenario{Times: 1})
-	resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+	resp = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		N: 8, Steps: 100, Seed: 1, Replicas: 2,
 		Couplings: ringCouplings(8),
 	})

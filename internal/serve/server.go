@@ -848,9 +848,6 @@ func (s *Server) solveOptions(req *SolveRequest) (isinglut.SBOptions, error) {
 		opts.Variant = isinglut.BallisticSB
 	case "asb":
 		opts.Variant = isinglut.AdiabaticSB
-		if req.Dt == 0 {
-			opts.Dt = 0.5 // aSB's stable step; bare Steps keep the bSB default
-		}
 	case "dsb":
 		opts.Variant = isinglut.DiscreteSB
 	default:

@@ -362,23 +362,44 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestExpvarExposed: the daemon's /debug/vars must include both metric
-// families.
+// TestExpvarExposed: the daemon's /debug/vars carries the one metrics
+// variable, with its solver, service and shard sections.
 func TestExpvarExposed(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+	vars := decodeBody[map[string]json.RawMessage](t, resp)
+	for _, gone := range []string{"isinglut.services", "isinglut.shard"} {
+		if _, ok := vars[gone]; ok {
+			t.Errorf("/debug/vars still publishes %q", gone)
+		}
 	}
-	body := buf.String()
-	for _, want := range []string{"isinglut.metrics", "isinglut.services"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/debug/vars missing %q", want)
+	var reg struct {
+		Solvers  []map[string]any `json:"solvers"`
+		Services []map[string]any `json:"services"`
+		Shard    map[string]any   `json:"shard"`
+	}
+	if err := json.Unmarshal(vars["isinglut.metrics"], &reg); err != nil {
+		t.Fatalf("isinglut.metrics: %v", err)
+	}
+	names := func(sets []map[string]any) []any {
+		var out []any
+		for _, s := range sets {
+			out = append(out, s["name"])
+		}
+		return out
+	}
+	if solvers := names(reg.Solvers); !slices.Contains(solvers, "sb") || !slices.Contains(solvers, "dalta") {
+		t.Errorf("solver section %v lacks sb or dalta", solvers)
+	}
+	if services := names(reg.Services); !slices.Contains(services, "serve.decompose") || !slices.Contains(services, "serve.solve") {
+		t.Errorf("service section %v lacks serve.decompose or serve.solve", services)
+	}
+	for _, key := range []string{"rounds", "peer_dispatch", "peer_readmitted", "mean_round_ns"} {
+		if _, ok := reg.Shard[key]; !ok {
+			t.Errorf("shard section lacks %q: %v", key, reg.Shard)
 		}
 	}
 }

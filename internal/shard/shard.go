@@ -394,7 +394,6 @@ func Solve(ctx context.Context, p *ising.Problem, cfg Config) (Result, error) {
 	res.Spins = best
 	res.Energy = bestE
 	res.Objective = bestE + p.Offset
-	sm.Runs.Inc()
 	met.ObserveRun(time.Since(start), res.Stopped)
 	met.Iterations.Add(int64(res.Iterations))
 	met.ObserveEnergy(res.Energy)

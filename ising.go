@@ -135,7 +135,8 @@ type SBOptions struct {
 	Variant SBVariant
 	// Steps caps the Euler iterations (default 1000).
 	Steps int
-	// Dt is the Euler step (default 1.0).
+	// Dt is the Euler step (default: the variant's stable step, 1.0 for
+	// bSB and dSB, 0.5 for aSB).
 	Dt float64
 	// Seed drives the deterministic initial conditions.
 	Seed int64
@@ -254,29 +255,7 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) {
 		return IsingResult{}, fmt.Errorf("isinglut: Epsilon must be finite, got %g", opts.Epsilon)
 	}
-	params := sb.DefaultParams()
-	params.Variant = opts.Variant
-	if opts.Steps > 0 {
-		params.Steps = opts.Steps
-	}
-	if opts.Dt > 0 {
-		params.Dt = opts.Dt
-	}
-	params.Seed = opts.Seed
-	params.RescueDiverged = opts.Rescue
-	if opts.DynamicStop {
-		f, s, eps := opts.F, opts.S, opts.Epsilon
-		if f <= 0 {
-			f = 20
-		}
-		if s <= 1 {
-			s = 20
-		}
-		if eps <= 0 {
-			eps = 1e-8
-		}
-		params.Stop = &sb.StopCriteria{F: f, S: s, Epsilon: eps}
-	}
+	params := sbParams(opts)
 	if opts.Trace {
 		params.RecordTrace = true
 		if params.SampleEvery <= 0 && params.Stop == nil {
@@ -286,7 +265,6 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 	if opts.Quantize && opts.Variant != DiscreteSB {
 		return IsingResult{}, fmt.Errorf("isinglut: Quantize requires the DiscreteSB variant (got %s)", opts.Variant)
 	}
-	params.Quantize = opts.Quantize
 	prob := p.problem()
 	if p.dense != nil {
 		// The instance picks the coupler: CSR when it is sparse enough to
@@ -306,6 +284,11 @@ func SolveIsingContext(ctx context.Context, p *IsingProblem, opts SBOptions) (Is
 		earlyStops = stats.EarlyStops
 		divergedReplicas = stats.Diverges
 		stopReason = stats.BatchStopped.String()
+		if res.Diverged {
+			// A finite replica always outranks a diverged one, so a
+			// diverged winner means every replica diverged.
+			stopReason = metrics.StopDiverged.String()
+		}
 	} else {
 		res = sb.SolveContext(ctx, prob, params)
 		if res.StoppedEarly {
@@ -384,7 +367,7 @@ func SolveIsingShardedContext(ctx context.Context, p *IsingProblem, opts SBOptio
 		Workers:  opts.Workers,
 		Seed:     opts.Seed,
 		Replicas: opts.Replicas,
-		Base:     shardBaseParams(opts),
+		Base:     sbParams(opts),
 		Dispatch: d,
 	})
 	if err != nil {
@@ -408,20 +391,23 @@ func SolveIsingShardedContext(ctx context.Context, p *IsingProblem, opts SBOptio
 	}, nil
 }
 
-// shardBaseParams maps SBOptions onto the per-subproblem SB
-// parameterization of a sharded solve — the single source of truth for
-// both the in-process default dispatcher and the serve-layer
-// coordinator's local fallback, so the two paths stay bit-identical.
-func shardBaseParams(opts SBOptions) sb.Params {
-	base := sb.DefaultParamsFor(opts.Variant)
+// sbParams maps SBOptions onto sb.Params, starting from the variant's
+// defaults (sb.DefaultParamsFor). It is the one mapping for a direct
+// solve, the sub-solves of a sharded one (whose seeds the exchange loop
+// overwrites) and the serve-layer coordinator's local fallback, so the
+// paths agree on every default and the sharded ones stay bit-identical.
+// Trace is the direct solve's alone.
+func sbParams(opts SBOptions) sb.Params {
+	params := sb.DefaultParamsFor(opts.Variant)
 	if opts.Steps > 0 {
-		base.Steps = opts.Steps
+		params.Steps = opts.Steps
 	}
 	if opts.Dt > 0 {
-		base.Dt = opts.Dt
+		params.Dt = opts.Dt
 	}
-	base.RescueDiverged = opts.Rescue
-	base.Quantize = opts.Quantize
+	params.Seed = opts.Seed
+	params.RescueDiverged = opts.Rescue
+	params.Quantize = opts.Quantize
 	if opts.DynamicStop {
 		f, s, eps := opts.F, opts.S, opts.Epsilon
 		if f <= 0 {
@@ -433,19 +419,19 @@ func shardBaseParams(opts SBOptions) sb.Params {
 		if eps <= 0 {
 			eps = 1e-8
 		}
-		base.Stop = &sb.StopCriteria{F: f, S: s, Epsilon: eps}
+		params.Stop = &sb.StopCriteria{F: f, S: s, Epsilon: eps}
 	}
-	return base
+	return params
 }
 
 // NewLocalShardDispatcher returns the in-process sub-solve dispatcher a
 // sharded solve uses by default, parameterized exactly as
 // SolveIsingShardedContext(..., nil) would. The serve-layer coordinator
-// holds one as its breaker-guarded local fallback: a sub-solve that
-// fails over from a peer to this dispatcher produces the bit-identical
-// result the peer would have returned.
+// holds one as its local fallback for the sub-solves its peer fleet does
+// not serve: a sub-solve that fails over from a peer to this dispatcher
+// produces the bit-identical result the peer would have returned.
 func NewLocalShardDispatcher(opts SBOptions) ShardDispatcher {
-	return &shard.LocalDispatcher{Base: shardBaseParams(opts), Replicas: opts.Replicas}
+	return &shard.LocalDispatcher{Base: sbParams(opts), Replicas: opts.Replicas}
 }
 
 // AnnealIsing searches the problem's ground state with simulated

@@ -3,6 +3,7 @@ package isinglut_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"isinglut"
@@ -59,6 +60,33 @@ func TestSolveIsingVariants(t *testing.T) {
 		}
 		if math.Abs(p.Energy(res.Spins)-res.Energy) > 1e-9 {
 			t.Fatalf("%v: energy inconsistent", v)
+		}
+	}
+}
+
+// TestSolveIsingASBDefaultDt: aSB with Dt 0 runs at the variant's
+// stable step, 0.5, bit for bit — on a direct solve, a replica batch and
+// a sharded solve alike, since all three map SBOptions the same way.
+func TestSolveIsingASBDefaultDt(t *testing.T) {
+	p := shardTestProblem(t, 24)
+	for _, base := range []isinglut.SBOptions{
+		{Steps: 300, Seed: 5},
+		{Steps: 300, Seed: 5, Replicas: 3},
+		{Steps: 150, Seed: 5, MaxShard: 8, ShardRounds: 3},
+	} {
+		base.Variant = isinglut.AdiabaticSB
+		explicit := base
+		explicit.Dt = 0.5
+		got, err := isinglut.SolveIsing(p, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := isinglut.SolveIsing(p, explicit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: Dt 0 gave %+v, Dt 0.5 gave %+v", base, got, want)
 		}
 	}
 }
